@@ -2,8 +2,7 @@
 
 Rational scalars are plain `fractions.Fraction` values, which already maintain
 the reduced-fraction invariant (gcd(|num|, den) = 1, den >= 1, zero as 0/1).
-Finite-field work happens on plain ints reduced mod a prime; `FieldScalar`
-wraps one value where the typed surface matters.
+Finite-field work happens on plain ints reduced mod a prime.
 
 All linear algebra here is exact. Floating-point approximations live in the
 sampling and gradient modules, where approximation is inherent.
@@ -14,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 INFINITY = float("inf")
 
@@ -73,73 +72,12 @@ def bit_cost_int(k: int, model: BitCostModel = DEFAULT_BIT_MODEL) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Typed scalars and matrices
+# Exact dense helpers
 # ---------------------------------------------------------------------------
-
-ExactScalar = Fraction
-
-
-@dataclass(frozen=True)
-class FieldScalar:
-    """Integer residue in [0, p) for a prime modulus p."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError("value out of range")
-
-    def __add__(self, other: "FieldScalar") -> "FieldScalar":
-        return FieldScalar((self.value + other.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "FieldScalar") -> "FieldScalar":
-        return FieldScalar((self.value * other.value) % self.modulus, self.modulus)
-
-    def inverse(self) -> "FieldScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return FieldScalar(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-
-class ExactMatrix:
-    """Dense matrix of exact rationals."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Iterable[Iterable]):
-        grid = [[Fraction(x) for x in row] for row in entries]
-        if grid and any(len(row) != len(grid[0]) for row in grid):
-            raise DimensionError("ragged entry grid")
-        self.entries = grid
-        self.rows = len(grid)
-        self.cols = len(grid[0]) if grid else 0
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def row(self, i: int) -> list[Fraction]:
-        return self.entries[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExactMatrix) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix({self.rows}x{self.cols})"
 
 
 def _as_rows(matrix) -> list[list[Fraction]]:
-    if isinstance(matrix, ExactMatrix):
-        return [list(r) for r in matrix.entries]
     return [[Fraction(x) for x in row] for row in matrix]
-
-
-# ---------------------------------------------------------------------------
-# Exact dense helpers
-# ---------------------------------------------------------------------------
 
 
 def transpose(rows: Sequence[Sequence]) -> list[list]:
@@ -268,6 +206,18 @@ class AugmentedBasis:
             self.basis.insert(list(coeffs) + [rhs])
         return verdict
 
+    def solution(self) -> list[Fraction]:
+        """Exact solution of the inserted rows, free variables set to zero.
+
+        The basis is in reduced echelon form and never holds a pivot in the
+        rhs column, so each pivot row reads off one coordinate.  Exact
+        (``p=None``) bases only.
+        """
+        x = [Fraction(0)] * self.d
+        for col, row in self.basis.pivots.items():
+            x[col] = row[self.d]
+        return x
+
     @property
     def rank(self) -> int:
         return self.basis.rank
@@ -346,15 +296,16 @@ def solve_exact(matrix, rhs: Sequence):
 
 
 def min_norm_least_squares(matrix, rhs: Sequence) -> list[Fraction]:
-    """Exact minimum-norm least-squares solution (A^T A)^+ A^T b.
+    """Exact minimum-norm least-squares solution (A^T A)^+ A^T b."""
+    return solve_normal(gram(matrix), mat_vec(transpose(matrix), rhs))
 
-    Solved through a rank factorization of the Gram matrix: the minimizer is
-    sought inside the row space of A, where the restricted normal system is
-    nonsingular.
+
+def solve_normal(g: Sequence[Sequence], y: Sequence) -> list[Fraction]:
+    """Minimum-norm solution of the normal equations G x = y, G = A^T A, y = A^T b.
+
+    Solved through a rank factorization of G: the minimizer is sought inside
+    the row space of A, where the restricted normal system is nonsingular.
     """
-    rows = _as_rows(matrix)
-    g = gram(rows)
-    y = mat_vec(transpose(rows), [Fraction(v) for v in rhs])
     rank, basis_idx, _ = rank_and_solve(g)
     if rank == 0:
         return [Fraction(0)] * len(g)

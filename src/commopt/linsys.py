@@ -21,41 +21,9 @@ from fractions import Fraction
 
 from .commsim import Network, ProtocolOutcome
 from .config import Constants
-from .exactnum import (
-    INFEASIBLE,
-    AugmentedBasis,
-    random_prime,
-    rank_and_solve,
-)
+from .exactnum import INFEASIBLE, AugmentedBasis, random_prime
 from .instances import Instance
 from .rng import Stream
-
-
-class EquationSet:
-    """Shared set C of mutually independent augmented equations."""
-
-    def __init__(self, d: int, p: int | None = None):
-        self.d = d
-        self.rows: list[tuple] = []
-        self.basis = AugmentedBasis(d, p)
-
-    def classify(self, coeffs, rhs) -> str:
-        return self.basis.classify(coeffs, rhs)
-
-    def insert(self, coeffs, rhs) -> str:
-        verdict = self.basis.insert(coeffs, rhs)
-        if verdict == "independent":
-            self.rows.append(tuple(coeffs) + (rhs,))
-            assert self.basis.rank == len(self.rows)
-        return verdict
-
-    def solve(self):
-        if not self.rows:
-            return [Fraction(0)] * self.d
-        coeffs = [row[:-1] for row in self.rows]
-        rhs = [row[-1] for row in self.rows]
-        _, _, x = rank_and_solve(coeffs, rhs)
-        return x
 
 
 def prime_range_hi(d: int, L: int, cfg: Constants) -> int:
@@ -65,10 +33,10 @@ def prime_range_hi(d: int, L: int, cfg: Constants) -> int:
 def det_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> ProtocolOutcome:
     """Deterministic exact solve; at most d equations ever enter C."""
     d = instance.d
-    shared = EquationSet(d)
+    shared = AugmentedBasis(d)
     for sid in range(1, instance.s + 1):
         net.mark_round()
-        local = shared.basis.copy()
+        local = shared.copy()
         rows = instance.server_aug_rows(sid)
         to_publish = []
         for row in rows:
@@ -81,8 +49,8 @@ def det_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants) 
         for row in to_publish:
             net.server_broadcast(sid, "equation", list(row))
             shared.insert(row[:-1], row[-1])
-    x = shared.solve()
-    return ProtocolOutcome("SOLVED", x=tuple(x), extra={"equations": len(shared.rows)})
+    x = shared.solution()
+    return ProtocolOutcome("SOLVED", x=tuple(x), extra={"equations": shared.rank})
 
 
 def rand_feasibility(
@@ -94,10 +62,10 @@ def rand_feasibility(
     p = random_prime(hi, stream.split("prime"))
     net.to_all_servers("prime", p)
 
-    shared = EquationSet(d, p)
+    shared = AugmentedBasis(d, p)
     for sid in range(1, instance.s + 1):
         net.mark_round()
-        local = shared.basis.copy()
+        local = shared.copy()
         to_publish = []
         for row in instance.server_aug_rows(sid):
             reduced = [int(v) % p for v in row]
@@ -133,7 +101,7 @@ def rand_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants)
     p = random_prime(hi, stream.split("prime"))
     net.to_all_servers("prime", p)
 
-    shared = EquationSet(d)  # coordinator-side, exact
+    shared = AugmentedBasis(d)  # coordinator-side, exact
     shared_modp = AugmentedBasis(d, p)  # coordinator-side screen
     full_sends = 0
 
@@ -181,10 +149,9 @@ def rand_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants)
                 misses = 0
             # A mod-p false positive (dependent over Q) is dropped silently.
 
-    x = shared.solve()
-    assert x != INFEASIBLE  # C only ever holds mutually consistent rows
+    x = shared.solution()
     return ProtocolOutcome(
-        "SOLVED", x=tuple(x), extra={"p": p, "full_sends": full_sends, "equations": len(shared.rows)}
+        "SOLVED", x=tuple(x), extra={"p": p, "full_sends": full_sends, "equations": shared.rank}
     )
 
 

@@ -308,13 +308,7 @@ def clarkson(
                 if counts[sid - 1] == 0:
                     continue
                 local = stream.split("draw", iteration, sid)
-                cum = []
-                acc = 0.0
-                for m in mult[sid - 1]:
-                    acc += m
-                    cum.append(acc)
-                for _ in range(counts[sid - 1]):
-                    i = local.choice_weighted(cum)
+                for i in local.draw_weighted(mult[sid - 1], counts[sid - 1]):
                     drawn[sid - 1][i] = drawn[sid - 1].get(i, 0) + 1
                 chosen = sorted(drawn[sid - 1])
                 rows = [server_rows[sid - 1][i] for i in chosen]

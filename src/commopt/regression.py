@@ -21,8 +21,7 @@ from .exactnum import (
     gram,
     mat_vec,
     min_norm_least_squares,
-    rank_and_solve,
-    solve_exact,
+    solve_normal,
     transpose,
 )
 from .instances import Instance
@@ -68,33 +67,25 @@ def linf_norm(rows, rhs, x):
     return max(abs(dot(row, x) - b) for row, b in zip(rows, rhs))
 
 
-def lp_norm_float(rows, rhs, x, p: float) -> float:
-    total = 0.0
-    for row, b in zip(rows, rhs):
-        total += abs(float(sum(a * v for a, v in zip(row, x))) - float(b)) ** p
-    return total ** (1.0 / p)
-
-
 # ---------------------------------------------------------------------------
 # Exact l2 via normal equations
 # ---------------------------------------------------------------------------
 
 
-def _solve_normal(g_sum, y_sum):
-    """Minimum-norm solution of the aggregated normal equations."""
-    d = len(g_sum)
-    rank, basis_idx, _ = rank_and_solve(g_sum)
-    if rank == 0:
-        return [Fraction(0)] * d
-    basis = [g_sum[i] for i in basis_idx]
-    m = [[dot(bi, mat_vec(g_sum, bj)) for bj in basis] for bi in basis]
-    t = [dot(bi, y_sum) for bi in basis]
-    u = solve_exact(m, t)
-    x = [Fraction(0)] * d
-    for coeff, brow in zip(u, basis):
-        for j, v in enumerate(brow):
-            x[j] += Fraction(coeff) * v
-    return x
+def _gram_round(net: Network, d: int, server_rows, server_rhs):
+    """Each server ships its Gram matrix and A^T b; returns the exact sums."""
+    g_sum = [[0] * d for _ in range(d)]
+    y_sum = [0] * d
+    for sid, (rows, rhs) in enumerate(zip(server_rows, server_rhs), start=1):
+        g_local = gram(rows) if rows else [[0] * d for _ in range(d)]
+        y_local = mat_vec(transpose(rows), rhs) if rows else [0] * d
+        net.to_coordinator(sid, "gram", [list(r) for r in g_local])
+        net.to_coordinator(sid, "atb", list(y_local))
+        for i in range(d):
+            y_sum[i] += y_local[i]
+            for j in range(d):
+                g_sum[i][j] += g_local[i][j]
+    return g_sum, y_sum
 
 
 def _value_round_l2(instance: Instance, net: Network, x) -> float:
@@ -110,21 +101,14 @@ def _value_round_l2(instance: Instance, net: Network, x) -> float:
 
 def l2_exact(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> ProtocolOutcome:
     """Each server ships its Gram matrix and A^T b; the coordinator solves."""
-    d = instance.d
-    g_sum = [[Fraction(0)] * d for _ in range(d)]
-    y_sum = [Fraction(0)] * d
-    for sid in range(1, instance.s + 1):
-        rows = [instance.A[i] for i in instance.rows_of(sid)]
-        rhs = [instance.b[i] for i in instance.rows_of(sid)]
-        g_local = gram(rows) if rows else [[0] * d for _ in range(d)]
-        y_local = mat_vec(transpose(rows), rhs) if rows else [0] * d
-        net.to_coordinator(sid, "gram", [list(r) for r in g_local])
-        net.to_coordinator(sid, "atb", list(y_local))
-        for i in range(d):
-            y_sum[i] += y_local[i]
-            for j in range(d):
-                g_sum[i][j] += g_local[i][j]
-    x = _solve_normal(g_sum, y_sum)
+    servers = range(1, instance.s + 1)
+    g_sum, y_sum = _gram_round(
+        net,
+        instance.d,
+        [instance.server_rows(sid) for sid in servers],
+        [[instance.b[i] for i in instance.rows_of(sid)] for sid in servers],
+    )
+    x = solve_normal(g_sum, y_sum)
     value = _value_round_l2(instance, net, x)
     return ProtocolOutcome("SOLVED", x=tuple(x), value=value, extra={"method": "l2-exact"})
 
@@ -147,16 +131,14 @@ def l2_sampled(
             if aug_views[sid - 1]:
                 net.to_coordinator(sid, "rows", [list(r) for r in aug_views[sid - 1]])
                 rows.extend(aug_views[sid - 1])
-        x = _solve_normal(gram([r[:-1] for r in rows]), mat_vec(transpose([r[:-1] for r in rows]), [r[-1] for r in rows]))
+        x = min_norm_least_squares([r[:-1] for r in rows], [r[-1] for r in rows])
         value = _value_round_l2(instance, net, x)
         return ProtocolOutcome("SOLVED", x=tuple(x), value=value, extra={"sampled": n})
 
     _, taus = leverage_protocol(views, d, net, stream.split("lev"), cfg)
     plans = _coordinated_plans(taus, target, "l2", net)
     sampled = _distributed_sample(aug_views, plans, net, stream.split("sample"), "l2samp")
-    a_rows = [r[:-1] for r in sampled]
-    rhs = [r[-1] for r in sampled]
-    x = _solve_normal(gram(a_rows), mat_vec(transpose(a_rows), rhs))
+    x = min_norm_least_squares([r[:-1] for r in sampled], [r[-1] for r in sampled])
     value = _value_round_l2(instance, net, x)
     return ProtocolOutcome(
         "SOLVED", x=tuple(x), value=value, extra={"sampled": len(sampled)}
@@ -349,13 +331,7 @@ def _local_l1_sketch(aug_rows, m: int, eps: float, stream: Stream):
     probes = [np.array([stream.gauss() for _ in range(d_aug)]) for _ in range(12)]
     probes += [np.eye(d_aug)[j] for j in range(d_aug)]
     for attempt in range(32):
-        draw = stream.split("sketch", attempt)
-        cum = []
-        acc = 0.0
-        for p in plan.values:
-            acc += p
-            cum.append(acc)
-        picks = [draw.choice_weighted(cum) for _ in range(plan.N)]
+        picks = stream.split("sketch", attempt).draw_weighted(plan.values, plan.N)
         sk = [tuple(v * plan.rescale(i) for v in aug_rows[i]) for i in picks]
         sk_f = np.asarray(sk, dtype=float)
         ok = True
@@ -432,28 +408,24 @@ def l1_lewis(
 # ---------------------------------------------------------------------------
 
 
-def huber_smooth(t: float, lam: float) -> float:
-    """Quadratic near zero, linear in the tails; C^1 at |t| = lam."""
-    at = abs(t)
-    if at <= lam:
-        return t * t / (2.0 * lam)
-    return at - lam / 2.0
+def huber_smooth(t, lam: float) -> np.ndarray:
+    """Elementwise Huber value: quadratic near zero, linear in the tails; C^1 at |t| = lam."""
+    t = np.asarray(t, dtype=float)
+    return np.where(np.abs(t) <= lam, t * t / (2.0 * lam), np.abs(t) - lam / 2.0)
 
 
-def huber_smooth_grad(t: float, lam: float) -> float:
-    if abs(t) <= lam:
-        return t / lam
-    return 1.0 if t > 0 else -1.0
+def huber_smooth_grad(t, lam: float) -> np.ndarray:
+    """Elementwise derivative of `huber_smooth` in t."""
+    t = np.asarray(t, dtype=float)
+    return np.where(np.abs(t) <= lam, t / lam, np.sign(t))
 
 
 def smoothed_objective_grad(sa, sb, r_inv, z, lam, sigma, z0):
     """Value and gradient of sum f_lam(<(SA)^i R^-1, z> - Sb_i) + sigma/2 |z-z0|^2."""
     u = r_inv @ z
     res = sa @ u - sb
-    val = sum(huber_smooth(float(t), lam) for t in res)
-    val += 0.5 * sigma * float((z - z0) @ (z - z0))
-    inner = np.array([huber_smooth_grad(float(t), lam) for t in res])
-    grad = r_inv.T @ (sa.T @ inner) + sigma * (z - z0)
+    val = float(np.sum(huber_smooth(res, lam))) + 0.5 * sigma * float((z - z0) @ (z - z0))
+    grad = r_inv.T @ (sa.T @ huber_smooth_grad(res, lam)) + sigma * (z - z0)
     return val, grad
 
 
@@ -527,16 +499,17 @@ def l1_agd(
             if plan is None or not view:
                 sampled_views.append([])
                 continue
-            cum = []
-            acc = 0.0
-            for p in plan.values:
-                acc += p
-                cum.append(acc)
             local_n = max(1, round(sum(plan.values)))
-            picks = [count_stream.choice_weighted(cum) for _ in range(local_n)]
+            picks = count_stream.draw_weighted(plan.values, local_n)
             sampled_views.append(
                 [tuple(v * plan.rescale(i) for v in view[i]) for i in picks]
             )
+
+    # The descent ships float-computed Gram pieces as integers.  Every partial
+    # sum of them is bounded by sum_i max|row_i|^2, and doubles hold integers
+    # exactly only below 2^53.
+    if sum(max(map(abs, row)) ** 2 for view in sampled_views for row in view) >= 2**53:
+        raise SizeGuardError("l1-agd gradient aggregates would reach 2^53 and stop being exact")
 
     sa_views = [[r[:-1] for r in view] for view in sampled_views]
     sb_views = [[r[-1] for r in view] for view in sampled_views]
@@ -552,19 +525,8 @@ def l1_agd(
     r_inv = np.linalg.inv(r_factor)
 
     # -- Warm start: exact l2 on the sampled system. -------------------------
-    g_sum = [[Fraction(0)] * d for _ in range(d)]
-    y_sum = [Fraction(0)] * d
-    for sid in range(1, instance.s + 1):
-        rows = sa_views[sid - 1]
-        g_local = gram(rows) if rows else [[0] * d for _ in range(d)]
-        y_local = mat_vec(transpose(rows), sb_views[sid - 1]) if rows else [0] * d
-        net.to_coordinator(sid, "gram", [list(r) for r in g_local])
-        net.to_coordinator(sid, "atb", list(y_local))
-        for i in range(d):
-            y_sum[i] += y_local[i]
-            for j in range(d):
-                g_sum[i][j] += g_local[i][j]
-    x0_exact = _solve_normal(g_sum, y_sum)
+    g_sum, y_sum = _gram_round(net, d, sa_views, sb_views)
+    x0_exact = solve_normal(g_sum, y_sum)
     x0 = np.array([float(v) for v in x0_exact])
     net.to_all_servers("warm-start", [float(v) for v in x0])
     net.to_all_servers("gram-total", [[int(v) for v in row] for row in g_sum])
@@ -623,15 +585,7 @@ def l1_agd(
     def smoothed_value(z_vec, lam, sigma):
         """Total smoothed objective plus the per-server data pieces."""
         u = r_inv @ z_vec
-        pieces = []
-        for sa, sb in zip(sa_float, sb_float):
-            if len(sa):
-                res = sa @ u - sb
-                pieces.append(float(np.sum(np.where(
-                    np.abs(res) <= lam, res * res / (2.0 * lam), np.abs(res) - lam / 2.0
-                ))))
-            else:
-                pieces.append(0.0)
+        pieces = [float(np.sum(huber_smooth(sa @ u - sb, lam))) for sa, sb in zip(sa_float, sb_float)]
         diff = z_vec - z0
         return sum(pieces) + 0.5 * sigma * float(diff @ diff), pieces
 

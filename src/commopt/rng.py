@@ -61,15 +61,6 @@ class Stream:
             if v < span:
                 return lo + v
 
-    def randbits(self, k: int) -> int:
-        """Uniform k-bit integer."""
-        out = 0
-        got = 0
-        while got < k:
-            out = (out << 64) | self.u64()
-            got += 64
-        return out >> (got - k)
-
     def sign(self) -> int:
         return 1 if self.u64() & 1 else -1
 
@@ -99,18 +90,30 @@ class Stream:
             j = self.randint(0, i)
             items[i], items[j] = items[j], items[i]
 
-    def choice_weighted(self, cumulative: list) -> int:
-        """Index drawn with probability proportional to the cumulative weights."""
-        total = cumulative[-1]
-        r = self.random() * total
-        lo, hi = 0, len(cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] <= r:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+    def draw_weighted(self, weights, k: int) -> list[int]:
+        """k independent indices, each drawn with probability proportional to its weight.
+
+        The weights are summed in order into float cumulative sums; each draw
+        takes one `random()` and returns the first index whose cumulative sum
+        exceeds it, clamped to the last index.
+        """
+        cumulative = []
+        acc = 0.0
+        for w in weights:
+            acc += w
+            cumulative.append(acc)
+        picks = []
+        for _ in range(k):
+            r = self.random() * acc
+            lo, hi = 0, len(cumulative) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if cumulative[mid] <= r:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            picks.append(lo)
+        return picks
 
     def multinomial(self, n: int, weights: list) -> list[int]:
         """Split n draws across categories with the given weights."""

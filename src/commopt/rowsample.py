@@ -101,12 +101,7 @@ def build_sampler(plan: SamplingPlan, stream: Stream) -> list[tuple[int, int]]:
     """N independent (row index, integer rescale) draws, one nonzero per row of S."""
     if sum(plan.values) <= 0.0:
         raise ValueError("empty sampling plan")
-    cum = []
-    acc = 0.0
-    for p in plan.values:
-        acc += p
-        cum.append(acc)
-    return [(i, plan.rescale(i)) for i in (stream.choice_weighted(cum) for _ in range(plan.N))]
+    return [(i, plan.rescale(i)) for i in stream.draw_weighted(plan.values, plan.N)]
 
 
 def apply_sampler(rows, sampler) -> list[tuple]:
@@ -143,13 +138,7 @@ def _distributed_sample(server_views, plans, net: Network, stream: Stream, tag: 
         if counts[sid - 1] == 0 or not plans[sid - 1]:
             continue
         local_plan = plans[sid - 1]
-        local_stream = stream.split(tag, "draw", sid)
-        cum = []
-        acc = 0.0
-        for p in local_plan.values:
-            acc += p
-            cum.append(acc)
-        picks = [local_stream.choice_weighted(cum) for _ in range(counts[sid - 1])]
+        picks = stream.split(tag, "draw", sid).draw_weighted(local_plan.values, counts[sid - 1])
         rows = [
             tuple(v * local_plan.rescale(i) for v in server_views[sid - 1][i])
             for i in picks

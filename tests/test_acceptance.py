@@ -5,11 +5,13 @@ Tolerances and trial counts are pinned here; nothing is deferred to later
 calibration.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from commopt.commsim import run_protocol
 from commopt.exactnum import (
@@ -430,26 +432,51 @@ def test_criterion_10_hard_lp_family():
     assert ok
 
 
+# The determinism set: one (protocol, instance spec, params) triple per
+# protocol, each run with seed 99.
+DETERMINISM_SET = [
+    ("linsys-det", GenSpec("linsys", n=8, d=3, L=8, s=2, seed=1), {}),
+    ("linsys-feas-rand", GenSpec("linsys", n=8, d=3, L=8, s=2, seed=2), {}),
+    ("linsys-solve-rand", GenSpec("linsys", n=8, d=3, L=8, s=2, seed=3), {}),
+    ("l2-exact", GenSpec("regression", n=10, d=3, L=6, s=2, seed=4), {}),
+    ("l2-sampled", GenSpec("regression", n=120, d=3, L=6, s=2, seed=5), {"eps": 0.5}),
+    ("l1-simple", GenSpec("regression", n=30, d=2, L=5, s=2, seed=6), {"eps": 0.5}),
+    ("l1-lewis", GenSpec("regression", n=30, d=2, L=5, s=2, seed=7), {"eps": 0.5}),
+    ("l1-agd", GenSpec("regression", n=40, d=2, L=5, s=2, seed=8), {"eps": 0.25}),
+    ("linf", GenSpec("regression", n=8, d=2, L=5, s=2, seed=9), {}),
+    ("lp-embed", GenSpec("regression", n=6, d=2, L=4, s=2, seed=10), {"p": 4.0, "eps": 0.5}),
+    ("lp-clarkson", GenSpec("lp", n=20, d=2, L=6, s=2, seed=11), {}),
+    ("lp-smoothed", GenSpec("lp", n=20, d=2, L=6, s=2, seed=12), {"sigma": 0.25, "t": 60}),
+    ("lp-cog", GenSpec("lp", n=6, d=2, L=4, s=2, seed=13), {}),
+    ("lp-seidel", GenSpec("lp", n=20, d=2, L=6, s=2, seed=14), {}),
+    ("lp-oracle", GenSpec("lp", n=12, d=2, L=6, s=2, seed=15), {}),
+]
+
+# sha256 of signature() + transcript CSV for each triple above.  Any drift is
+# a behaviour change that must be explained; the float-path digests assume
+# the platform's BLAS/libm stay the same.
+DETERMINISM_DIGESTS = {
+    "linsys-det": "93375c0f6a76eb411a2e6c178f7bfc16c4ddcd285eead96fdac8df36504f1a8b",
+    "linsys-feas-rand": "56c70de5e288bd5aa8b4b9188f10236ef7417f57cecc747c631b73f688006c4c",
+    "linsys-solve-rand": "baedd8e8eb7b9f42a7394892afacd4db02886d318f5c1cbc00a95b0f6d8b0492",
+    "l2-exact": "a94248cad8520dc1a861558b4c9ca59b6899864ff16df6ad3cc6c8db253100e0",
+    "l2-sampled": "78c19fed4ef5d9c4c2bb48034446d645797ec4f9a6db3f8baa15452cd6de9841",
+    "l1-simple": "cfe81d0a25d542978ae65ac0431842add9cad41befe70d5c86e722016c9b8738",
+    "l1-lewis": "a7e12e9728e4cf2b3f3deb291c0fdd21b3daec83d5b7e941c54857e772c4c3a8",
+    "l1-agd": "7cfc0fbd2eaaf8f87a3195d3498d4ecf3d194672e1994f44e387c2d34458b2b3",
+    "linf": "cb7404da879cc68849dc33815cb6fc2f3d0724640583bdc01a672155c504105f",
+    "lp-embed": "96c9c4c15f914426f1edbecc37330d6da5c11440c843dab2dce3cb20d387cea6",
+    "lp-clarkson": "21d3fad3a1a680cc3c7616e56ec9079e48dd9364ef911de1045ac24464c4ee20",
+    "lp-smoothed": "0b1e12b508a48d16381906ce0ead5b0d68c676f1d6c1f692ed6af05465b1bfc9",
+    "lp-cog": "11897af7f64076f560bcae3d9c34bb6a1eda36249dbed78286479966b9b0af21",
+    "lp-seidel": "9d56fd796e2192ed67fcfc9ba45f6eabcac4ff0506e3fd284340d85b1d388e1c",
+    "lp-oracle": "eba7d5e082d01a460365261a1f162ee3a02fe58b5947830063e96ccf7b27141e",
+}
+
+
 def test_criterion_11_determinism():
-    checks = [
-        ("linsys-det", GenSpec("linsys", n=8, d=3, L=8, s=2, seed=1), {}),
-        ("linsys-feas-rand", GenSpec("linsys", n=8, d=3, L=8, s=2, seed=2), {}),
-        ("linsys-solve-rand", GenSpec("linsys", n=8, d=3, L=8, s=2, seed=3), {}),
-        ("l2-exact", GenSpec("regression", n=10, d=3, L=6, s=2, seed=4), {}),
-        ("l2-sampled", GenSpec("regression", n=120, d=3, L=6, s=2, seed=5), {"eps": 0.5}),
-        ("l1-simple", GenSpec("regression", n=30, d=2, L=5, s=2, seed=6), {"eps": 0.5}),
-        ("l1-lewis", GenSpec("regression", n=30, d=2, L=5, s=2, seed=7), {"eps": 0.5}),
-        ("l1-agd", GenSpec("regression", n=40, d=2, L=5, s=2, seed=8), {"eps": 0.25}),
-        ("linf", GenSpec("regression", n=8, d=2, L=5, s=2, seed=9), {}),
-        ("lp-embed", GenSpec("regression", n=6, d=2, L=4, s=2, seed=10), {"p": 4.0, "eps": 0.5}),
-        ("lp-clarkson", GenSpec("lp", n=20, d=2, L=6, s=2, seed=11), {}),
-        ("lp-smoothed", GenSpec("lp", n=20, d=2, L=6, s=2, seed=12), {"sigma": 0.25, "t": 60}),
-        ("lp-cog", GenSpec("lp", n=6, d=2, L=4, s=2, seed=13), {}),
-        ("lp-seidel", GenSpec("lp", n=20, d=2, L=6, s=2, seed=14), {}),
-        ("lp-oracle", GenSpec("lp", n=12, d=2, L=6, s=2, seed=15), {}),
-    ]
     stable = []
-    for name, spec, params in checks:
+    for name, spec, params in DETERMINISM_SET:
         inst = gen_random(spec)
         out1, t1 = run_protocol(name, inst, seed=99, **params)
         out2, t2 = run_protocol(name, inst, seed=99, **params)
@@ -459,3 +486,12 @@ def test_criterion_11_determinism():
     bad = [name for name, same in stable if not same]
     _report(11, "determinism (bit-identical reruns)", ok, f"unstable: {bad}" if bad else "15 protocols")
     assert ok, bad
+
+
+@pytest.mark.parametrize(
+    "name, spec, params", DETERMINISM_SET, ids=[name for name, _, _ in DETERMINISM_SET]
+)
+def test_determinism_set_digest(name, spec, params):
+    out, transcript = run_protocol(name, gen_random(spec), seed=99, **params)
+    digest = hashlib.sha256((out.signature() + transcript.to_csv()).encode()).hexdigest()
+    assert digest == DETERMINISM_DIGESTS[name]

@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commopt.exactnum import (
     INFEASIBLE,
     INFINITY,
+    AugmentedBasis,
     BitCostModel,
     DimensionError,
     bit_cost_int,
@@ -91,6 +94,32 @@ def test_min_norm_least_squares():
     # Rank-deficient: minimum-norm pick among the solution line.
     x = min_norm_least_squares([[1, 1]], [2])
     assert x == [1, 1]
+
+
+@st.composite
+def consistent_systems(draw):
+    """Integer A = C B and b = A x0: consistent, often rank-deficient."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(n, d)))
+    small = st.integers(-3, 3)
+    basis = [[draw(small) for _ in range(d)] for _ in range(k)]
+    coeffs = [[draw(small) for _ in range(k)] for _ in range(n)]
+    a = [[sum(c * b[j] for c, b in zip(row, basis)) for j in range(d)] for row in coeffs]
+    x0 = [draw(small) for _ in range(d)]
+    return a, [sum(v * x for v, x in zip(row, x0)) for row in a]
+
+
+@settings(max_examples=300, deadline=None)
+@given(consistent_systems())
+def test_augmented_basis_solution_matches_rank_and_solve(system):
+    a, b = system
+    basis = AugmentedBasis(len(a[0]))
+    for row, beta in zip(a, b):
+        assert basis.insert(row, beta) != "inconsistent"
+    rank, _, x = rank_and_solve(a, b)
+    assert basis.rank == rank
+    assert repr(basis.solution()) == repr(x)
 
 
 def test_rank_mod_p():

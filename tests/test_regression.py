@@ -9,7 +9,7 @@ import pytest
 from commopt.commsim import Network, run_protocol
 from commopt.config import DEFAULTS
 from commopt.instances import GenSpec, Instance, gen_random
-from commopt.lpsolve import lp_exact_oracle
+from commopt.lpsolve import SizeGuardError, lp_exact_oracle
 from commopt.regression import (
     gradient_exchange,
     huber_smooth,
@@ -287,6 +287,14 @@ def test_l1_agd_near_optimal_on_sample():
         assert achieved >= float(oracle.value) - 1e-9
         good += achieved <= 1.25 * float(oracle.value) + 1e-9
     assert good >= 0.8 * runs
+
+
+def test_l1_agd_guards_inexact_float_aggregates():
+    # At L=28 one squared entry already exceeds 2^53, so float Gram pieces
+    # would no longer be the exact integers the messages claim.
+    inst = gen_random(GenSpec("regression", n=12, d=2, L=28, s=2, seed=5))
+    with pytest.raises(SizeGuardError):
+        run_protocol("l1-agd", inst, seed=1, eps=0.25)
 
 
 # -- l-infinity ----------------------------------------------------------------
