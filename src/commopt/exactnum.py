@@ -151,7 +151,10 @@ class RowBasis:
 
     def insert(self, row: Sequence) -> bool:
         """Add the row if independent; returns True when the rank grew."""
-        work = self._reduce(row)
+        return self._insert_residual(self._reduce(row))
+
+    def _insert_residual(self, work: list) -> bool:
+        """Insert a row already reduced against this basis (see `residual`)."""
         for col, val in enumerate(work):
             if val:
                 if self.p is not None:
@@ -191,19 +194,22 @@ class AugmentedBasis:
         self.d = d
         self.basis = RowBasis(d + 1, p)
 
-    def classify(self, coeffs: Sequence, rhs) -> str:
-        row = list(coeffs) + [rhs]
-        work = self.basis.residual(row)
+    def _verdict(self, work: list) -> str:
         if not any(work):
             return "dependent"
         if any(work[: self.d]):
             return "independent"
         return "inconsistent"
 
+    def classify(self, coeffs: Sequence, rhs) -> str:
+        return self._verdict(self.basis.residual(list(coeffs) + [rhs]))
+
     def insert(self, coeffs: Sequence, rhs) -> str:
-        verdict = self.classify(coeffs, rhs)
+        """Classify the row and add it when independent; one reduction in all."""
+        work = self.basis.residual(list(coeffs) + [rhs])
+        verdict = self._verdict(work)
         if verdict == "independent":
-            self.basis.insert(list(coeffs) + [rhs])
+            self.basis._insert_residual(work)
         return verdict
 
     def solution(self) -> list[Fraction]:
@@ -321,15 +327,19 @@ def solve_normal(g: Sequence[Sequence], y: Sequence) -> list[Fraction]:
     return x
 
 
-def int_det(matrix) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    rows = [list(map(int, r)) for r in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionError("determinant needs a square matrix")
+def _bareiss(rows: list[list[int]], n: int) -> int:
+    """Fraction-free elimination (Bareiss 1968) on the leading n columns, in place.
+
+    `rows` holds n integer rows, possibly extended by extra columns.  Returns
+    det of the leading n x n block A, 0 when it is singular.  With extra
+    columns the elimination is Gauss-Jordan: for nonsingular A, the extra
+    columns of row i end as det(P A) times row i of A^-1 applied to them,
+    P being the row swaps made.  Every entry stays an integer minor, so each
+    division below is exact.
+    """
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if rows[k][k] == 0:
             for i in range(k + 1, n):
                 if rows[i][k]:
@@ -338,12 +348,45 @@ def int_det(matrix) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[n - 1][n - 1]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        # Rows above the pivot feed only the extra columns; a bare
+        # determinant needs forward elimination alone.
+        for row in rows if len(pivot_row) > n else rows[k + 1 :]:
+            if row is pivot_row:
+                continue
+            f = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * prev
+
+
+def int_solve(matrix, rhs: Sequence) -> tuple[list[int], int] | None:
+    """Exact solution of a square integer system A x = rhs by integer Cramer.
+
+    Returns ``(num, den)`` with ``den = |det A| > 0`` and ``x = num / den``,
+    or ``None`` when A is singular.  Entries must already be ints.
+    """
+    n = len(rhs)
+    if n == 0 or len(matrix) != n or any(len(row) != n for row in matrix):
+        raise DimensionError("integer solve needs a nonempty square system")
+    rows = [[*row, beta] for row, beta in zip(matrix, rhs)]
+    if _bareiss(rows, n) == 0:
+        return None
+    # Row i now ends with D x_i, where D = det(P A) = +-det A is the last pivot.
+    last = rows[-1][n - 1]
+    if last < 0:
+        return [-row[n] for row in rows], -last
+    return [row[n] for row in rows], last
+
+
+def int_det(matrix) -> int:
+    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    rows = [list(map(int, r)) for r in matrix]
+    if any(len(r) != len(rows) for r in rows):
+        raise DimensionError("determinant needs a square matrix")
+    return _bareiss(rows, len(rows))
 
 
 def rank_mod_p(matrix, p: int) -> int:

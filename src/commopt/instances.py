@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .exactnum import int_det
 from .rng import Stream
@@ -30,9 +31,18 @@ class Instance:
     partition: tuple
     sense: str = "max"
 
+    @cached_property
+    def _rows_by_server(self) -> dict[int, tuple[int, ...]]:
+        # Not a dataclass field, so equality, hashing and the file format
+        # ignore it; cached_property writes __dict__ directly, past `frozen`.
+        index: dict[int, list[int]] = {}
+        for i, owner in enumerate(self.partition):
+            index.setdefault(owner, []).append(i)
+        return {sid: tuple(rows) for sid, rows in index.items()}
+
     def rows_of(self, sid: int) -> list[int]:
-        """Indices of the rows held by server sid (1-based)."""
-        return [i for i, owner in enumerate(self.partition) if owner == sid]
+        """Indices of the rows held by server sid (1-based), as a fresh list."""
+        return list(self._rows_by_server.get(sid, ()))
 
     def server_rows(self, sid: int) -> list[tuple]:
         return [self.A[i] for i in self.rows_of(sid)]

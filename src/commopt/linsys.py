@@ -138,13 +138,12 @@ def rand_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants)
             net.to_server(sid, "promote", None, bits=1)
             net.to_coordinator(sid, "equation", combo)
             full_sends += 1
-            exact_verdict = shared.classify(combo[:-1], combo[-1])
+            exact_verdict = shared.insert(combo[:-1], combo[-1])
             if exact_verdict == "inconsistent":
                 return ProtocolOutcome(
                     INFEASIBLE, extra={"p": p, "full_sends": full_sends}
                 )
             if exact_verdict == "independent":
-                shared.insert(combo[:-1], combo[-1])
                 shared_modp.insert(reduced[:-1], reduced[-1])
                 misses = 0
             # A mod-p false positive (dependent over Q) is dropped silently.

@@ -4,7 +4,9 @@ All LPs are `max c.x subject to A x <= b` over exact rationals.  Two local
 exact engines back the protocols:
 
 * ``lp_exact_oracle``  - vertex enumeration over d-subsets of constraints,
-  the reference solver used by tests (size-guarded);
+  the reference solver used by tests (size-guarded).  It runs on integers
+  only: each vertex is the integer Cramer ratio num / |det| of one subset,
+  found by fraction-free Bareiss elimination (``exactnum.int_solve``);
 * ``solve_lp``         - exact incremental solver (randomized insertion with
   recursion on violated constraints), fast for d <= 6, used as the
   subproblem solver inside the protocols.
@@ -23,7 +25,7 @@ from itertools import combinations
 
 from .commsim import Network, ProtocolOutcome
 from .config import DEFAULTS, Constants
-from .exactnum import INFEASIBLE, dot, rank_and_solve
+from .exactnum import INFEASIBLE, dot, int_solve
 from .instances import Instance
 from .rng import Stream
 
@@ -83,25 +85,64 @@ def box_halfspaces(d: int, bound) -> list[Halfspace]:
 # ---------------------------------------------------------------------------
 
 
+def _as_int(v) -> int:
+    k = int(v)
+    if k != v:
+        raise ValueError(f"vertex enumeration needs integer constraints, got {v!r}")
+    return k
+
+
+def _lex_smaller(num, den, other_num, other_den) -> bool:
+    """Whether num/den < other_num/other_den lexicographically (positive dens)."""
+    for v, w in zip(num, other_num):
+        p, q = v * other_den, w * den
+        if p != q:
+            return p < q
+    return False
+
+
 def _enumerate_vertices(rows: list[Halfspace], c, guard: int):
-    """Best feasible vertex of the (boxed) system, or None when infeasible."""
+    """Best feasible vertex of the (boxed) system, or None when infeasible.
+
+    Returns ``(c.x, x)`` with the largest value, ties broken toward the
+    lexicographically smallest x.  The rows must be integer-valued: every
+    nonsingular d-subset is solved by integer Cramer (`int_solve`), and a
+    candidate vertex num/den is ranked against the incumbent by integer
+    cross-multiplication before the O(n) feasibility scan, so a Fraction is
+    built only for the returned vertex.
+    """
     d = len(c)
     n = len(rows)
     if math.comb(n, d) > guard:
         raise SizeGuardError(f"C({n},{d}) exceeds the enumeration guard {guard}")
-    best = None  # (value, vertex)
+    a_int = [tuple(_as_int(v) for v in a) for a, _ in rows]
+    b_int = [_as_int(beta) for _, beta in rows]
+    # A positive rescaling of c ranks vertices the same way.
+    c_frac = [Fraction(v) for v in c]
+    scale = math.lcm(*(v.denominator for v in c_frac))
+    c_int = [int(v * scale) for v in c_frac]
+
+    best = None  # (c_int . num, num, den) of the incumbent vertex num / den
     for subset in combinations(range(n), d):
-        coeffs = [rows[i][0] for i in subset]
-        rhs = [rows[i][1] for i in subset]
-        rank, _, x = rank_and_solve(coeffs, rhs)
-        if rank < d or x == INFEASIBLE:
+        sol = int_solve([a_int[i] for i in subset], [b_int[i] for i in subset])
+        if sol is None:
             continue
-        if any(dot(a, x) > beta for a, beta in rows):
+        num, den = sol
+        cx = dot(c_int, num)
+        if best is not None:
+            best_cx, best_num, best_den = best
+            lhs, rhs = cx * best_den, best_cx * den
+            if lhs < rhs:
+                continue
+            if lhs == rhs and not _lex_smaller(num, den, best_num, best_den):
+                continue
+        if any(dot(a, num) > beta * den for a, beta in zip(a_int, b_int)):
             continue
-        value = dot(c, x)
-        if best is None or value > best[0] or (value == best[0] and x < best[1]):
-            best = (value, x)
-    return best
+        best = (cx, num, den)
+    if best is None:
+        return None
+    x = [Fraction(v, best[2]) for v in best[1]]
+    return dot(c, x), x
 
 
 def solve_lp_enumerate(

@@ -76,12 +76,14 @@ def test_criterion_01_oracle_equivalence_exact_paths():
         else:
             rand_ok += out.status == INFEASIBLE
 
+    t_linsys = time.perf_counter()
     l2_ok = 0
     for seed in range(runs):
         inst = gen_random(GenSpec("regression", n=20, d=4, L=12, s=3, seed=seed))
         out, _ = run_protocol("l2-exact", inst, seed=seed)
         l2_ok += list(out.x) == min_norm_least_squares(inst.A, inst.b)
 
+    t_l2 = time.perf_counter()
     linf_ok = 0
     for seed in range(runs):
         inst = gen_random(GenSpec("regression", n=10, d=2, L=8, s=3, seed=seed))
@@ -89,6 +91,7 @@ def test_criterion_01_oracle_equivalence_exact_paths():
         status, x_full, _ = lp_exact_oracle(linf_lp_instance(inst))
         linf_ok += status == "SOLVED" and out.value == x_full[inst.d]
 
+    t_linf = time.perf_counter()
     clark_ok = seidel_ok = 0
     for seed in range(runs):
         inst = gen_random(GenSpec("lp", n=16, d=3, L=8, s=3, seed=seed, partition_policy="random"))
@@ -98,7 +101,8 @@ def test_criterion_01_oracle_equivalence_exact_paths():
         clark_ok += out_c.status == status and (status != "SOLVED" or out_c.value == value)
         seidel_ok += out_s.status == status and (status != "SOLVED" or out_s.value == value)
 
-    elapsed = time.perf_counter() - started
+    t_lp = time.perf_counter()
+    elapsed = t_lp - started
     ok = (
         det_ok == runs
         and l2_ok == runs
@@ -111,7 +115,8 @@ def test_criterion_01_oracle_equivalence_exact_paths():
     detail = (
         f"det {det_ok}/{runs}, rand {rand_ok}/{runs}, l2 {l2_ok}/{runs}, "
         f"linf {linf_ok}/{runs}, clarkson {clark_ok}/{runs}, seidel {seidel_ok}/{runs}, "
-        f"{elapsed:.0f}s"
+        f"{elapsed:.0f}s (linsys {t_linsys - started:.0f}s, l2 {t_l2 - t_linsys:.0f}s, "
+        f"linf {t_linf - t_l2:.0f}s, LP {t_lp - t_linf:.0f}s)"
     )
     _report(1, "oracle equivalence, exact paths", ok, detail)
     assert ok, detail

@@ -15,6 +15,7 @@ from commopt.exactnum import (
     bit_cost_int,
     gram,
     int_det,
+    int_solve,
     is_prime,
     leverage_scores,
     min_norm_least_squares,
@@ -184,6 +185,33 @@ def test_gram_and_det():
     assert int_det([[1, 2], [3, 4]]) == -2
     assert int_det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
     assert int_det([[1, 2], [2, 4]]) == 0
+
+
+@st.composite
+def square_systems(draw):
+    """Square integer A = C B with rank(A) <= k, so singular systems are common."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(0, d))
+    entry = st.integers(-4, 4)
+    left = [[draw(entry) for _ in range(k)] for _ in range(d)]
+    right = [[draw(entry) for _ in range(d)] for _ in range(k)]
+    a = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(d)] for i in range(d)]
+    return a, [draw(st.integers(-50, 50)) for _ in range(d)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_systems())
+def test_int_solve_matches_rank_and_solve(system):
+    a, b = system
+    d = len(a)
+    rank, _, x = rank_and_solve(a, b)
+    sol = int_solve(a, b)
+    assert (sol is None) == (rank < d)
+    assert (int_det(a) == 0) == (rank < d)
+    if sol is not None:
+        num, den = sol
+        assert den == abs(int_det(a))
+        assert [Fraction(v, den) for v in num] == x
 
 
 def test_arithmetic_chain_stays_reduced():

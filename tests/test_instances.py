@@ -47,6 +47,20 @@ def test_one_heavy_partition():
     assert part.count(2) == part.count(3) == part.count(4) == 1
 
 
+def test_rows_of_index_is_fresh_and_invisible():
+    inst = gen_random(GenSpec("lp", n=12, d=3, L=8, s=3, seed=4, partition_policy="random"))
+    twin = gen_random(GenSpec("lp", n=12, d=3, L=8, s=3, seed=4, partition_policy="random"))
+    text, key = instance_to_json(inst), hash(inst)
+    for sid in range(1, inst.s + 1):
+        rows = inst.rows_of(sid)
+        assert rows == [i for i, owner in enumerate(inst.partition) if owner == sid]
+        rows.reverse()  # callers may shuffle the list in place
+        assert inst.rows_of(sid) == sorted(rows)
+    assert inst.rows_of(inst.s + 1) == []
+    assert inst == twin and hash(inst) == key == hash(twin)
+    assert instance_to_json(inst) == text
+
+
 def test_generation_is_deterministic():
     a = gen_random(GenSpec("lp", n=12, d=3, L=8, s=3, seed=4))
     b = gen_random(GenSpec("lp", n=12, d=3, L=8, s=3, seed=4))

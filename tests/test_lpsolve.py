@@ -2,12 +2,17 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import commopt.lpsolve as lpsolve
 from commopt.commsim import run_protocol
 from commopt.config import DEFAULTS
-from commopt.exactnum import INFEASIBLE, dot
+from commopt.exactnum import INFEASIBLE, dot, rank_and_solve
 from commopt.instances import GenSpec, Instance, gen_random
 from commopt.lpsolve import (
     PerturbedLP,
@@ -58,6 +63,78 @@ def test_oracle_guard_trips():
     small_guard = config.Constants(oracle_guard=10)
     with pytest.raises(SizeGuardError):
         lp_exact_oracle(inst, small_guard)
+
+
+def _reference_enumerate(rows, c, guard):
+    """Independent enumerator: Fraction Gauss-Jordan on every d-subset."""
+    d = len(c)
+    best = None  # (value, vertex)
+    for subset in combinations(range(len(rows)), d):
+        coeffs = [rows[i][0] for i in subset]
+        rhs = [rows[i][1] for i in subset]
+        rank, _, x = rank_and_solve(coeffs, rhs)
+        if rank < d or x == INFEASIBLE:
+            continue
+        if any(dot(a, x) > beta for a, beta in rows):
+            continue
+        value = dot(c, x)
+        if best is None or value > best[0] or (value == best[0] and x < best[1]):
+            best = (value, x)
+    return best
+
+
+@st.composite
+def small_lps(draw):
+    """Tiny integer LPs; negative right-hand sides make some infeasible,
+    missing bounds some unbounded, and small entries make parallel rows and
+    tied optima common (c = 0 ties every vertex)."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    rows = [
+        (tuple(Fraction(draw(entry)) for _ in range(d)), Fraction(draw(st.integers(-4, 6))))
+        for _ in range(n)
+    ]
+    c = [Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3))) for _ in range(d)]
+    return rows, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_enumeration_matches_fraction_reference(lp):
+    rows, c = lp
+    d = len(c)
+    boxed = rows + lpsolve.box_halfspaces(d, 5)
+    assert repr(lpsolve._enumerate_vertices(boxed, c, 10**6)) == repr(
+        _reference_enumerate(boxed, c, 10**6)
+    )
+    # End to end, including the recession check behind UNBOUNDED.
+    result = solve_lp_enumerate(rows, c)
+    with mock.patch.object(lpsolve, "_enumerate_vertices", _reference_enumerate):
+        assert repr(result) == repr(solve_lp_enumerate(rows, c))
+
+
+def test_enumeration_covers_every_outcome():
+    """The enumeration agrees with the reference on hand-made edge cases."""
+    one = Fraction(1)
+    cases = [
+        ([((one,), Fraction(0)), ((-one,), Fraction(-1))], [one], INFEASIBLE),
+        ([((-one, 0), Fraction(0))], [one, 0], "UNBOUNDED"),
+        # Every point of the edge x + y = 2 is optimal; (0, 2) is the lex-min vertex.
+        ([((one, one), Fraction(2)), ((-one, 0), 0), ((0, -one), 0)], [one, one], "SOLVED"),
+    ]
+    for rows, c, expected in cases:
+        result = solve_lp_enumerate(rows, c)
+        assert result[0] == expected
+        with mock.patch.object(lpsolve, "_enumerate_vertices", _reference_enumerate):
+            assert repr(result) == repr(solve_lp_enumerate(rows, c))
+    assert solve_lp_enumerate(cases[2][0], cases[2][1])[1] == (0, 2)
+
+
+def test_enumeration_rejects_non_integer_rows():
+    rows = [((Fraction(1, 2), Fraction(1)), Fraction(1))] + lpsolve.box_halfspaces(2, 4)
+    with pytest.raises(ValueError):
+        lpsolve._enumerate_vertices(rows, [Fraction(1), Fraction(1)], 10**6)
 
 
 def test_incremental_solver_agrees_with_enumeration():
