@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import registry
 from .commsim import ProtocolError, run_protocol
 from .config import DEFAULTS
-from .exactnum import INFEASIBLE, dot
+from .exactnum import INFEASIBLE, dot, min_norm_least_squares, rank_and_solve
 from .instances import GenSpec, gen_random, read_instance, write_instance
 from .lpsolve import SizeGuardError, lp_exact_oracle
 from .regression import l2_sq_norm
@@ -101,8 +101,6 @@ def cmd_run(args) -> int:
 def _bench_oracle_check(inst, outcome) -> bool:
     """Compare a protocol outcome against the registered oracle for its kind."""
     if inst.kind in ("linsys", "linsys-feasible"):
-        from .exactnum import rank_and_solve
-
         _, _, x = rank_and_solve(inst.A, inst.b)
         feasible = x != INFEASIBLE
         if outcome.status == INFEASIBLE:
@@ -118,8 +116,6 @@ def _bench_oracle_check(inst, outcome) -> bool:
             return False
         return status != "SOLVED" or outcome.value == value
     if inst.kind == "regression":
-        from .exactnum import min_norm_least_squares
-
         x = min_norm_least_squares(inst.A, inst.b)
         best = l2_sq_norm(inst.A, inst.b, x)
         got = l2_sq_norm(inst.A, inst.b, [Fraction(v) for v in outcome.x])

@@ -4,13 +4,18 @@ Rational scalars are plain `fractions.Fraction` values, which already maintain
 the reduced-fraction invariant (gcd(|num|, den) = 1, den >= 1, zero as 0/1).
 Finite-field work happens on plain ints reduced mod a prime.
 
-All linear algebra here is exact. Floating-point approximations live in the
-sampling and gradient modules, where approximation is inherent.
+All linear algebra here is exact and fraction-free: the protocols' row
+elimination runs in one integer kernel, `RowBasis`, for both Q and F_p, and
+square solves and determinants in one Bareiss loop.  `rank_and_solve`, a
+Fraction Gauss-Jordan, is kept only as the independent reference.
+Floating-point approximations live in the sampling and gradient modules,
+where approximation is inherent.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -114,72 +119,68 @@ def gram(rows: Sequence[Sequence]) -> list[list]:
 
 
 class RowBasis:
-    """Incrementally maintained row space in reduced echelon form.
+    """Incrementally maintained row space in fraction-free reduced echelon form.
 
-    With `p=None` arithmetic is exact rational; otherwise everything is
-    reduced mod the prime p.  Supports the independence and consistency
-    tests every protocol needs on augmented rows [a | beta].
+    Rows are held as integers.  Q (`p=None`) and F_p share one elimination,
+    ``row * lead - f * pivot``, and differ only in the tidy step after it:
+    over Q the row is divided by its content, over F_p reduced mod p.  A
+    rational input row is scaled by the lcm of its denominators, never
+    truncated; mod-p callers pass integer rows.  Supports the independence
+    and consistency tests every protocol needs on augmented rows [a | beta].
     """
 
-    def __init__(self, width: int, p: int | None = None):
-        self.width = width
+    def __init__(self, p: int | None = None):
         self.p = p
-        self.pivots: dict[int, list] = {}
+        self.pivots: dict[int, list[int]] = {}
 
-    def _reduce(self, row: Sequence) -> list:
-        if self.p is not None:
-            work = [int(x) % self.p for x in row]
-        else:
-            work = [Fraction(x) for x in row]
-        for col in sorted(self.pivots):
-            if col >= len(work):
-                break
+    def _tidy(self, row: list[int]) -> list[int]:
+        p = self.p
+        if p is not None:
+            return [v % p for v in row]
+        g = math.gcd(*row)
+        return row if g <= 1 else [v // g for v in row]
+
+    def _eliminate(self, row: list[int], piv: list[int], col: int) -> list[int]:
+        """`row` with its entry in pivot column `col` cleared by pivot row `piv`."""
+        f, lead = row[col], piv[col]
+        return self._tidy([a * lead - f * b for a, b in zip(row, piv)])
+
+    def residual(self, row: Sequence) -> list[int]:
+        """Integer row proportional to `row` reduced against every pivot."""
+        den = math.lcm(*(v.denominator for v in row))
+        work = self._tidy([v.numerator * (den // v.denominator) for v in row])
+        # Reduced echelon form: pivot rows vanish in each other's pivot
+        # columns, so the pivots may be applied in any order.
+        for col, piv in self.pivots.items():
             if work[col]:
-                piv = self.pivots[col]
-                factor = work[col]
-                if self.p is not None:
-                    work = [(w - factor * v) % self.p for w, v in zip(work, piv)]
-                else:
-                    work = [w - factor * v for w, v in zip(work, piv)]
+                work = self._eliminate(work, piv, col)
         return work
 
-    def residual(self, row: Sequence) -> list:
-        return self._reduce(row)
-
     def contains(self, row: Sequence) -> bool:
-        return not any(self._reduce(row))
+        return not any(self.residual(row))
 
     def insert(self, row: Sequence) -> bool:
         """Add the row if independent; returns True when the rank grew."""
-        return self._insert_residual(self._reduce(row))
+        return self._insert_residual(self.residual(row))
 
-    def _insert_residual(self, work: list) -> bool:
+    def _insert_residual(self, work: list[int]) -> bool:
         """Insert a row already reduced against this basis (see `residual`)."""
-        for col, val in enumerate(work):
-            if val:
-                if self.p is not None:
-                    inv = pow(val, self.p - 2, self.p)
-                    norm = [(w * inv) % self.p for w in work]
-                else:
-                    norm = [w / val for w in work]
-                for c, piv in self.pivots.items():
-                    if piv[col]:
-                        f = piv[col]
-                        if self.p is not None:
-                            self.pivots[c] = [(a - f * b) % self.p for a, b in zip(piv, norm)]
-                        else:
-                            self.pivots[c] = [a - f * b for a, b in zip(piv, norm)]
-                self.pivots[col] = norm
-                return True
-        return False
+        col = next((c for c, v in enumerate(work) if v), None)
+        if col is None:
+            return False
+        for c, piv in self.pivots.items():
+            if piv[col]:
+                self.pivots[c] = self._eliminate(piv, work, col)
+        self.pivots[col] = work
+        return True
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def copy(self) -> "RowBasis":
-        dup = RowBasis(self.width, self.p)
-        dup.pivots = {c: list(v) for c, v in self.pivots.items()}
+        dup = RowBasis(self.p)
+        dup.pivots = dict(self.pivots)  # rows are replaced, never mutated
         return dup
 
 
@@ -192,7 +193,7 @@ class AugmentedBasis:
 
     def __init__(self, d: int, p: int | None = None):
         self.d = d
-        self.basis = RowBasis(d + 1, p)
+        self.basis = RowBasis(p)
 
     def _verdict(self, work: list) -> str:
         if not any(work):
@@ -216,12 +217,12 @@ class AugmentedBasis:
         """Exact solution of the inserted rows, free variables set to zero.
 
         The basis is in reduced echelon form and never holds a pivot in the
-        rhs column, so each pivot row reads off one coordinate.  Exact
-        (``p=None``) bases only.
+        rhs column, so each pivot row reads off one coordinate as the ratio
+        of its rhs entry to its pivot.  Exact (``p=None``) bases only.
         """
         x = [Fraction(0)] * self.d
         for col, row in self.basis.pivots.items():
-            x[col] = row[self.d]
+            x[col] = Fraction(row[self.d], row[col])
         return x
 
     @property
@@ -296,9 +297,18 @@ def rank_and_solve(matrix, rhs: Sequence | None = None):
 
 
 def solve_exact(matrix, rhs: Sequence):
-    """Any exact solution of A x = rhs, or None when inconsistent."""
-    _, _, x = rank_and_solve(matrix, rhs)
-    return None if x == INFEASIBLE else x
+    """Exact solution of A x = rhs, free variables set to zero; None when inconsistent.
+
+    The same vector `rank_and_solve` returns: both read the unique reduced
+    echelon form of [A | rhs].
+    """
+    if not matrix or len(rhs) != len(matrix):
+        raise DimensionError("empty matrix or rhs length mismatch")
+    basis = AugmentedBasis(len(matrix[0]))
+    for row, beta in zip(matrix, rhs):
+        if basis.insert(row, beta) == "inconsistent":
+            return None
+    return basis.solution()
 
 
 def min_norm_least_squares(matrix, rhs: Sequence) -> list[Fraction]:
@@ -312,11 +322,12 @@ def solve_normal(g: Sequence[Sequence], y: Sequence) -> list[Fraction]:
     Solved through a rank factorization of G: the minimizer is sought inside
     the row space of A, where the restricted normal system is nonsingular.
     """
-    rank, basis_idx, _ = rank_and_solve(g)
-    if rank == 0:
+    space = RowBasis()
+    basis = [row for row in g if space.insert(row)]  # spans range(G) = rowspace(A)
+    if not basis:
         return [Fraction(0)] * len(g)
-    basis = [g[i] for i in basis_idx]  # spans range(G) = rowspace(A)
-    m = [[dot(bi, mat_vec(g, bj)) for bj in basis] for bi in basis]
+    g_basis = [mat_vec(g, bj) for bj in basis]
+    m = [[dot(bi, gbj) for gbj in g_basis] for bi in basis]
     t = [dot(bi, y) for bi in basis]
     u = solve_exact(m, t)
     assert u is not None
@@ -390,14 +401,11 @@ def int_det(matrix) -> int:
 
 
 def rank_mod_p(matrix, p: int) -> int:
-    """Rank over F_p after reducing integer entries mod p."""
+    """Rank over F_p of an integer matrix."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    rows = [[int(x) % p for x in row] for row in matrix]
-    if not rows:
-        return 0
-    basis = RowBasis(len(rows[0]), p)
-    for row in rows:
+    basis = RowBasis(p)
+    for row in matrix:
         basis.insert(row)
     return basis.rank
 
@@ -468,16 +476,15 @@ def leverage_scores(matrix, base=None) -> list:
     row space of B.  With ``base=None`` ordinary leverage scores are
     computed (B = A), which always lie in [0, 1] and sum to rank(A).
     """
-    a_rows = _as_rows(matrix)
-    b_rows = a_rows if base is None else _as_rows(base)
+    a_rows = list(matrix)
+    b_rows = a_rows if base is None else list(base)
     if b_rows and a_rows and len(b_rows[0]) != len(a_rows[0]):
         raise DimensionError("column count mismatch")
-    d = len(a_rows[0]) if a_rows else 0
 
-    space = RowBasis(d)
+    space = RowBasis()
     for row in b_rows:
         space.insert(row)
-    g = gram(b_rows) if b_rows else [[Fraction(0)] * d for _ in range(d)]
+    g = gram(b_rows)  # only read for nonzero rows inside rowspace(B), so B is nonempty
 
     scores = []
     for row in a_rows:

@@ -304,14 +304,12 @@ def clarkson(
     """
     d = instance.d
     c = [Fraction(v) for v in (instance.c if instance.c is not None else [0] * d)]
-    server_rows = (
-        rows_override
-        if rows_override is not None
-        else [
-            [instance_halfspaces(instance)[i] for i in instance.rows_of(sid)]
-            for sid in range(1, instance.s + 1)
+    server_rows = rows_override
+    if server_rows is None:
+        halfspaces = instance_halfspaces(instance)
+        server_rows = [
+            [halfspaces[i] for i in instance.rows_of(sid)] for sid in range(1, instance.s + 1)
         ]
-    )
     L = max(effective_bitlength([r for rs in server_rows for r in rs], c), 1)
     n_total = sum(len(rs) for rs in server_rows)
     if n_total == 0:

@@ -27,6 +27,7 @@ from .exactnum import (
 from .instances import Instance
 from .lpsolve import (
     SizeGuardError,
+    clarkson,
     instance_halfspaces,
     solve_lp,
     trunc_to_grid,
@@ -178,8 +179,6 @@ def _l1_descent_direction(g, zero_rows, weights, d):
     Parallel kink rows fold together first (m |<A, v>| is positively
     homogeneous in A), which keeps the slack dimension near d in practice.
     """
-    from .lpsolve import solve_lp as _solve_lp
-
     folded: dict[tuple, Fraction] = {}
     for row, m in zip(zero_rows, weights):
         lead = next((v for v in row if v), None)
@@ -205,7 +204,7 @@ def _l1_descent_direction(g, zero_rows, weights, d):
         unit[j] = Fraction(-1)
         halfspaces.append((tuple(unit), Fraction(1)))
     c = [-Fraction(v) for v in g] + [-w for w in w_z]
-    status, sol, value = _solve_lp(halfspaces, c, None, L=8)
+    status, sol, value = solve_lp(halfspaces, c, None, L=8)
     assert status == "SOLVED"
     return -value, list(sol[:d])
 
@@ -684,8 +683,6 @@ def linf_lp_instance(instance: Instance) -> Instance:
 def linf_regression(
     instance: Instance, net: Network, stream: Stream, cfg: Constants
 ) -> ProtocolOutcome:
-    from .lpsolve import clarkson
-
     lp = linf_lp_instance(instance)
     out = clarkson(lp, net, stream, cfg)
     if out.status != "SOLVED":

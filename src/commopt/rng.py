@@ -61,9 +61,6 @@ class Stream:
             if v < span:
                 return lo + v
 
-    def sign(self) -> int:
-        return 1 if self.u64() & 1 else -1
-
     def gauss(self) -> float:
         """Standard normal via the Marsaglia polar method."""
         if self._spare_gauss is not None:

@@ -1,5 +1,6 @@
 """Exact arithmetic, bit-cost model, primes, and leverage scores."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,16 +14,19 @@ from commopt.exactnum import (
     BitCostModel,
     DimensionError,
     bit_cost_int,
+    dot,
     gram,
     int_det,
     int_solve,
     is_prime,
     leverage_scores,
+    mat_vec,
     min_norm_least_squares,
     rank_and_solve,
     rank_mod_p,
     random_prime,
     solve_exact,
+    transpose,
 )
 from commopt.rng import Stream
 
@@ -83,8 +87,6 @@ def test_solutions_are_reduced_fractions():
     x = solve_exact(rows, [3, 5])
     for v in x:
         assert v.denominator >= 1
-        import math
-
         assert math.gcd(abs(v.numerator), v.denominator) == 1
 
 
@@ -121,6 +123,112 @@ def test_augmented_basis_solution_matches_rank_and_solve(system):
     rank, _, x = rank_and_solve(a, b)
     assert basis.rank == rank
     assert repr(basis.solution()) == repr(x)
+
+
+@st.composite
+def rational_systems(draw):
+    """A = C B, integer or with small denominators and often rank-deficient.
+
+    b is A x0 (consistent) or drawn freely (inconsistent when A is deficient).
+    """
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(n, d)))
+    integer = draw(st.booleans())
+    entry = st.builds(Fraction, st.integers(-3, 3), st.just(1) if integer else st.integers(1, 4))
+    basis = [[draw(entry) for _ in range(d)] for _ in range(k)]
+    coeffs = [[draw(entry) for _ in range(k)] for _ in range(n)]
+    a = [
+        [sum((c * b[j] for c, b in zip(row, basis)), Fraction(0)) for j in range(d)]
+        for row in coeffs
+    ]
+    if draw(st.booleans()):
+        x0 = [draw(entry) for _ in range(d)]
+        b = [dot(row, x0) for row in a]
+    else:
+        b = [draw(entry) for _ in range(n)]
+    if integer:
+        a, b = [[int(v) for v in row] for row in a], [int(v) for v in b]
+    return a, b
+
+
+def _prefix_ranks(rows):
+    return [rank_and_solve(rows[:k])[0] if k else 0 for k in range(len(rows) + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_augmented_basis_verdicts_match_prefix_ranks(system):
+    a, b = system
+    ranks = _prefix_ranks(a)
+    aug_ranks = _prefix_ranks([[*row, beta] for row, beta in zip(a, b)])
+    basis = AugmentedBasis(len(a[0]))
+    for k, (row, beta) in enumerate(zip(a, b)):
+        if ranks[k + 1] > ranks[k]:
+            expected = "independent"
+        elif aug_ranks[k + 1] > aug_ranks[k]:
+            expected = "inconsistent"
+        else:
+            expected = "dependent"
+        assert basis.insert(row, beta) == expected
+        if expected == "inconsistent":
+            break  # the row is not inserted, and the protocols stop here
+        assert basis.rank == ranks[k + 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_solve_exact_matches_rank_and_solve(system):
+    a, b = system
+    _, _, x = rank_and_solve(a, b)
+    got = solve_exact(a, b)
+    assert (got is None) == (x == INFEASIBLE)
+    if got is not None:
+        assert repr(got) == repr(x)
+
+
+def _reference_solve_normal(g, y):
+    """Minimum-norm solve of G x = y on Fraction Gauss-Jordan alone."""
+    rank, basis_idx, _ = rank_and_solve(g)
+    if rank == 0:
+        return [Fraction(0)] * len(g)
+    basis = [g[i] for i in basis_idx]
+    m = [[dot(bi, mat_vec(g, bj)) for bj in basis] for bi in basis]
+    _, _, u = rank_and_solve(m, [dot(bi, y) for bi in basis])
+    x = [Fraction(0)] * len(g)
+    for coeff, brow in zip(u, basis):
+        for j, v in enumerate(brow):
+            x[j] += coeff * v
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_min_norm_least_squares_matches_reference(system):
+    a, b = system
+    expected = _reference_solve_normal(gram(a), mat_vec(transpose(a), b))
+    assert repr(min_norm_least_squares(a, b)) == repr(expected)
+
+
+def _prime_above(bound: int) -> int:
+    p = bound + 1
+    while not is_prime(p):
+        p += 1
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_rank_mod_p_equals_rational_rank_above_hadamard_bound(system):
+    a, _ = system
+    # Integer rows with the same rank; every minor is at most the Hadamard
+    # bound prod |row|, so no nonzero minor vanishes mod a larger prime.
+    rows = []
+    for row in a:
+        den = math.lcm(*(Fraction(v).denominator for v in row))
+        rows.append([int(v * den) for v in row])
+    hadamard = math.prod(math.isqrt(sum(v * v for v in row)) + 1 for row in rows)
+    assert rank_mod_p(rows, _prime_above(hadamard)) == rank_and_solve(a)[0]
 
 
 def test_rank_mod_p():
@@ -215,8 +323,6 @@ def test_int_solve_matches_rank_and_solve(system):
 
 
 def test_arithmetic_chain_stays_reduced():
-    import math
-
     stream = Stream(11).split("chain")
     for _ in range(200):
         a = Fraction(stream.randint(-50, 50), stream.randint(1, 50))

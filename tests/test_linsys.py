@@ -153,31 +153,6 @@ def test_rand_solve_at_most_d_full_equations_when_solved():
             assert transcript.count_kind("equation") <= inst.d
 
 
-def test_sign_flip_progress_lemma():
-    # A random +/-1 combination of a rank-3 set escapes a fixed 2-row subspace
-    # with frequency >= 0.45.
-    from commopt.exactnum import RowBasis
-
-    stream = Stream(5).split("flip")
-    rows = []
-    basis = RowBasis(4)
-    while len(rows) < 3:
-        cand = tuple(stream.randint(-4, 4) for _ in range(4))
-        if basis.insert(cand):
-            rows.append(cand)
-    fixed = RowBasis(4)
-    fixed.insert(rows[0])
-    fixed.insert(rows[1])
-    escapes = 0
-    trials = 10_000
-    for _ in range(trials):
-        signs = [stream.sign() for _ in rows]
-        combo = [sum(s * r[j] for s, r in zip(signs, rows)) for j in range(4)]
-        if not fixed.contains(combo):
-            escapes += 1
-    assert escapes / trials >= 0.45
-
-
 def test_blackboard_feasibility_cheaper():
     inst = gen_random(GenSpec("linsys", n=12, d=4, L=8, s=4, seed=5, feasible=True))
     _, t_co = run_protocol("linsys-feas-rand", inst, mode="coordinator", seed=9)
