@@ -38,8 +38,6 @@ class Constants:
     oracle_guard: int = 10**6
     # Extra guard bits in the smoothed-Clarkson rounding grid delta.
     smoothed_delta_slack: int = 40
-    # Whether distributing the LP objective c to all servers is charged.
-    charge_objective: bool = True
     # l1 oracle size guard on n*d.
     l1_oracle_guard: int = 4000
 

@@ -85,6 +85,13 @@ def _as_rows(matrix) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in matrix]
 
 
+def clear_denominators(row: Sequence) -> list[int]:
+    """The rational `row` times the lcm of its denominators: integer, never
+    truncated, with signs and inequality directions kept."""
+    den = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row]
+
+
 def transpose(rows: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*rows)] if rows else []
 
@@ -122,11 +129,12 @@ class RowBasis:
     """Incrementally maintained row space in fraction-free reduced echelon form.
 
     Rows are held as integers.  Q (`p=None`) and F_p share one elimination,
-    ``row * lead - f * pivot``, and differ only in the tidy step after it:
-    over Q the row is divided by its content, over F_p reduced mod p.  A
-    rational input row is scaled by the lcm of its denominators, never
-    truncated; mod-p callers pass integer rows.  Supports the independence
-    and consistency tests every protocol needs on augmented rows [a | beta].
+    ``row * lead - f * pivot``, and differ only in the tidy step: over Q the
+    result is divided by its content, over F_p each entry is reduced mod p
+    in the same pass.  A rational input row is cleared of denominators
+    (`clear_denominators`); mod-p callers pass integer rows.  Supports the
+    independence and consistency tests every protocol needs on augmented
+    rows [a | beta].
     """
 
     def __init__(self, p: int | None = None):
@@ -143,12 +151,13 @@ class RowBasis:
     def _eliminate(self, row: list[int], piv: list[int], col: int) -> list[int]:
         """`row` with its entry in pivot column `col` cleared by pivot row `piv`."""
         f, lead = row[col], piv[col]
+        if self.p is not None:  # tidied in the same pass
+            return [(a * lead - f * b) % self.p for a, b in zip(row, piv)]
         return self._tidy([a * lead - f * b for a, b in zip(row, piv)])
 
     def residual(self, row: Sequence) -> list[int]:
         """Integer row proportional to `row` reduced against every pivot."""
-        den = math.lcm(*(v.denominator for v in row))
-        work = self._tidy([v.numerator * (den // v.denominator) for v in row])
+        work = self._tidy(clear_denominators(row))
         # Reduced echelon form: pivot rows vanish in each other's pivot
         # columns, so the pivots may be applied in any order.
         for col, piv in self.pivots.items():
@@ -202,12 +211,17 @@ class AugmentedBasis:
             return "independent"
         return "inconsistent"
 
-    def classify(self, coeffs: Sequence, rhs) -> str:
-        return self._verdict(self.basis.residual(list(coeffs) + [rhs]))
+    def classify(self, coeffs: Sequence, rhs) -> tuple[str, list[int]]:
+        """Verdict on the row [coeffs | rhs] and its residual against the basis."""
+        work = self.basis.residual(list(coeffs) + [rhs])
+        return self._verdict(work), work
 
     def insert(self, coeffs: Sequence, rhs) -> str:
         """Classify the row and add it when independent; one reduction in all."""
-        work = self.basis.residual(list(coeffs) + [rhs])
+        return self.insert_residual(self.basis.residual(list(coeffs) + [rhs]))
+
+    def insert_residual(self, work: list[int]) -> str:
+        """Add a residual from `classify`, if independent, to the unchanged basis."""
         verdict = self._verdict(work)
         if verdict == "independent":
             self.basis._insert_residual(work)

@@ -130,7 +130,7 @@ def rand_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants)
             combo = [sum(c * row[j] for c, row in zip(coeffs, s_i)) for j in range(d + 1)]
             reduced = [v % p for v in combo]
             net.to_coordinator(sid, "combo-mod-p", reduced)
-            verdict_p = shared_modp.classify(reduced[:-1], reduced[-1])
+            verdict_p, residue = shared_modp.classify(reduced[:-1], reduced[-1])
             if verdict_p == "dependent":
                 net.to_server(sid, "reject", None, bits=1)
                 continue
@@ -144,7 +144,7 @@ def rand_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants)
                     INFEASIBLE, extra={"p": p, "full_sends": full_sends}
                 )
             if exact_verdict == "independent":
-                shared_modp.insert(reduced[:-1], reduced[-1])
+                shared_modp.insert_residual(residue)  # the screen is unchanged since
                 misses = 0
             # A mod-p false positive (dependent over Q) is dropped silently.
 

@@ -14,6 +14,11 @@ exact engines back the protocols:
 Both bound the feasible region with the box |x_j| <= d! 2^(dL) + 1, which is
 valid for every vertex of an L-bit LP by the Cramer bound, so INFEASIBLE /
 UNBOUNDED are decided exactly.
+
+Halfspaces hold ints wherever the data is integer (instance and box rows).
+Rational rows (perturbed coefficients, the l1 direction LP, cog cuts) are
+cleared to integers once, by ``exactnum.clear_denominators``, on entry to
+either engine.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from itertools import combinations
 
 from .commsim import Network, ProtocolOutcome
 from .config import DEFAULTS, Constants
-from .exactnum import INFEASIBLE, dot, int_solve
+from .exactnum import INFEASIBLE, clear_denominators, dot, int_solve
 from .instances import Instance
 from .rng import Stream
 
@@ -34,7 +39,7 @@ class SizeGuardError(RuntimeError):
     """Raised when an exact computation would exceed its configured budget."""
 
 
-Halfspace = tuple[tuple, Fraction]  # (coefficients a, rhs beta) meaning a.x <= beta
+Halfspace = tuple[tuple, int | Fraction]  # (coefficients a, rhs beta) meaning a.x <= beta
 
 
 def cramer_bound(d: int, L: int) -> int:
@@ -43,14 +48,9 @@ def cramer_bound(d: int, L: int) -> int:
 
 
 def _int_rows(rows: list[Halfspace]) -> list[Halfspace]:
-    """Scale each constraint to integer coefficients (direction-preserving)."""
-    out = []
-    for coeffs, beta in rows:
-        denom = 1
-        for v in list(coeffs) + [beta]:
-            denom = denom * Fraction(v).denominator // math.gcd(denom, Fraction(v).denominator)
-        out.append((tuple(Fraction(v) * denom for v in coeffs), Fraction(beta) * denom))
-    return out
+    """Each constraint as an integer row (positive scaling keeps its direction)."""
+    cleared = [clear_denominators((*a, beta)) for a, beta in rows]
+    return [(tuple(r[:-1]), r[-1]) for r in cleared]
 
 
 def effective_bitlength(rows: list[Halfspace], c=None) -> int:
@@ -65,18 +65,17 @@ def effective_bitlength(rows: list[Halfspace], c=None) -> int:
 
 
 def instance_halfspaces(inst: Instance) -> list[Halfspace]:
-    return [(tuple(Fraction(v) for v in row), Fraction(b)) for row, b in zip(inst.A, inst.b)]
+    return [(tuple(row), b) for row, b in zip(inst.A, inst.b)]
 
 
 def box_halfspaces(d: int, bound) -> list[Halfspace]:
+    """|x_j| <= bound as the rows +e_j, -e_j for j = 0 .. d-1, in that order."""
     rows = []
     for j in range(d):
-        e = [Fraction(0)] * d
-        e[j] = Fraction(1)
-        rows.append((tuple(e), Fraction(bound)))
-        e = [Fraction(0)] * d
-        e[j] = Fraction(-1)
-        rows.append((tuple(e), Fraction(bound)))
+        for sign in (1, -1):
+            e = [0] * d
+            e[j] = sign
+            rows.append((tuple(e), bound))
     return rows
 
 
@@ -117,10 +116,7 @@ def _enumerate_vertices(rows: list[Halfspace], c, guard: int):
         raise SizeGuardError(f"C({n},{d}) exceeds the enumeration guard {guard}")
     a_int = [tuple(_as_int(v) for v in a) for a, _ in rows]
     b_int = [_as_int(beta) for _, beta in rows]
-    # A positive rescaling of c ranks vertices the same way.
-    c_frac = [Fraction(v) for v in c]
-    scale = math.lcm(*(v.denominator for v in c_frac))
-    c_int = [int(v * scale) for v in c_frac]
+    c_int = clear_denominators(c)  # a positive rescaling ranks vertices the same way
 
     best = None  # (c_int . num, num, den) of the incumbent vertex num / den
     for subset in combinations(range(n), d):
@@ -165,7 +161,7 @@ def solve_lp_enumerate(
     value, x = best
     if any(abs(v) == bound for v in x):
         # Optimum touches the guard box: decide boundedness by recession check.
-        rec_rows = [(a, Fraction(0)) for a, _ in rows] + box_halfspaces(d, 1)
+        rec_rows = [(a, 0) for a, _ in rows] + box_halfspaces(d, 1)
         rec = _enumerate_vertices(rec_rows, c, cfg.oracle_guard)
         if rec is not None and rec[0] > 0:
             return "UNBOUNDED", None, None
@@ -187,9 +183,9 @@ def _solve_1d(cons: list[Halfspace], c, bound: Fraction):
     lo, hi = -bound, bound
     for (a,), beta in cons:
         if a > 0:
-            hi = min(hi, beta / a)
+            hi = min(hi, Fraction(beta, a))
         elif a < 0:
-            lo = max(lo, beta / a)
+            lo = max(lo, Fraction(beta, a))
         elif beta < 0:
             return None
     if lo > hi:
@@ -218,7 +214,7 @@ def _solve_eq(cons: list[Halfspace], c, bound: Fraction, a, beta):
     k = next((j for j, v in enumerate(a) if v), None)
     if k is None:
         return None  # 0 = beta with beta != 0 is unreachable here; beta < 0 means empty
-    ak = a[k]
+    ak = Fraction(a[k])  # every quotient below stays exact on integer rows
     rest = [j for j in range(d) if j != k]
 
     def reduce_row(g, h):
@@ -228,24 +224,16 @@ def _solve_eq(cons: list[Halfspace], c, bound: Fraction, a, beta):
             h - gk * beta / ak,
         )
 
-    new_cons: list[Halfspace] = []
     # The eliminated variable's box turns into two explicit rows.
-    ek = [Fraction(0)] * d
-    ek[k] = Fraction(1)
-    new_cons.append(reduce_row(tuple(ek), bound))
-    ek[k] = Fraction(-1)
-    new_cons.append(reduce_row(tuple(ek), bound))
-    for g, h in cons:
-        new_cons.append(reduce_row(g, h))
+    box_k = box_halfspaces(d, bound)[2 * k : 2 * k + 2]
+    new_cons = [reduce_row(g, h) for g, h in box_k + cons]
 
     c_red = [c[j] - c[k] * a[j] / ak for j in rest]
     y = _solve_rec(new_cons, c_red, bound)
     if y is None:
         return None
-    x = [Fraction(0)] * d
-    for pos, j in enumerate(rest):
-        x[j] = y[pos]
-    x[k] = (beta - sum(a[j] * x[j] for j in rest)) / ak
+    x = list(y)
+    x.insert(k, (beta - sum(a[j] * v for j, v in zip(rest, y))) / ak)
     return x
 
 
@@ -270,7 +258,7 @@ def solve_lp(rows: list[Halfspace], c, stream: Stream | None = None, L: int | No
     if x is None:
         return INFEASIBLE, None, None
     if any(abs(v) == bound for v in x):
-        rec_rows = [(a, Fraction(0)) for a, _ in rows]
+        rec_rows = [(a, 0) for a, _ in rows]
         rec = _solve_rec(rec_rows, c, Fraction(1))
         if rec is not None and dot(c, rec) > 0:
             return "UNBOUNDED", None, None
@@ -283,7 +271,7 @@ def solve_lp(rows: list[Halfspace], c, stream: Stream | None = None, L: int | No
 
 
 def _distribute_objective(inst: Instance, net: Network, cfg: Constants):
-    if inst.c is not None and cfg.charge_objective:
+    if inst.c is not None:
         net.to_all_servers("objective", list(inst.c))
 
 
@@ -440,10 +428,10 @@ class PerturbedLP:
 
     @property
     def rows(self) -> list[Halfspace]:
-        out = []
-        for row, g_row, beta in zip(self.base.A, self.noise, self.base.b):
-            out.append((tuple(Fraction(v) + g for v, g in zip(row, g_row)), Fraction(beta)))
-        return out
+        return [
+            (tuple(v + g for v, g in zip(row, g_row)), beta)
+            for row, g_row, beta in zip(self.base.A, self.noise, self.base.b)
+        ]
 
 
 def perturb_lp_stream(base: Instance, sigma: float, t: int, stream: Stream) -> PerturbedLP:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .commsim import Network, ProtocolOutcome
-from .config import Constants
+from .config import DEFAULTS, Constants
 from .exactnum import (
     dot,
     gram,
@@ -27,6 +27,7 @@ from .exactnum import (
 from .instances import Instance
 from .lpsolve import (
     SizeGuardError,
+    box_halfspaces,
     clarkson,
     instance_halfspaces,
     solve_lp,
@@ -194,22 +195,17 @@ def _l1_descent_direction(g, zero_rows, weights, d):
 
     halfspaces = []
     for k, row in enumerate(rows_z):
-        slack = tuple(Fraction(-1 if j == k else 0) for j in range(z))
-        halfspaces.append((tuple(row) + slack, Fraction(0)))
-        halfspaces.append((tuple(-v for v in row) + slack, Fraction(0)))
-    for j in range(d):
-        unit = [Fraction(0)] * (d + z)
-        unit[j] = Fraction(1)
-        halfspaces.append((tuple(unit), Fraction(1)))
-        unit[j] = Fraction(-1)
-        halfspaces.append((tuple(unit), Fraction(1)))
+        slack = tuple(-1 if j == k else 0 for j in range(z))
+        halfspaces.append((row + slack, 0))
+        halfspaces.append((tuple(-v for v in row) + slack, 0))
+    halfspaces += box_halfspaces(d + z, 1)[: 2 * d]  # |v_j| <= 1 for j < d
     c = [-Fraction(v) for v in g] + [-w for w in w_z]
     status, sol, value = solve_lp(halfspaces, c, None, L=8)
     assert status == "SOLVED"
     return -value, list(sol[:d])
 
 
-def l1_minimize_exact(rows, rhs, guard: int = 4000):
+def l1_minimize_exact(rows, rhs, guard: int = DEFAULTS.l1_oracle_guard):
     """Exact rational minimizer of ||Ax - b||_1.
 
     Piecewise-linear descent: at each iterate an exact direction LP either
@@ -226,7 +222,7 @@ def l1_minimize_exact(rows, rhs, guard: int = 4000):
     merged: dict[tuple, int] = {}
     constant = Fraction(0)
     for row, b in zip(rows, rhs):
-        key = tuple(Fraction(v) for v in row) + (Fraction(b),)
+        key = (*row, b)  # equal values merge whether given as int or Fraction
         if not any(key[:-1]):
             constant += abs(key[-1])  # zero row contributes a fixed cost
             continue
@@ -290,7 +286,7 @@ def l1_minimize_exact(rows, rhs, guard: int = 4000):
     raise RuntimeError("l1 descent failed to converge")
 
 
-def l1_exact_oracle(rows, rhs, guard: int = 4000) -> RegressionResult:
+def l1_exact_oracle(rows, rhs, guard: int = DEFAULTS.l1_oracle_guard) -> RegressionResult:
     x, value = l1_minimize_exact(rows, rhs, guard)
     return RegressionResult(tuple(x), value, "l1-exact-oracle")
 

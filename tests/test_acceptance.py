@@ -469,12 +469,12 @@ DETERMINISM_DIGESTS = {
     "l1-simple": "cfe81d0a25d542978ae65ac0431842add9cad41befe70d5c86e722016c9b8738",
     "l1-lewis": "a7e12e9728e4cf2b3f3deb291c0fdd21b3daec83d5b7e941c54857e772c4c3a8",
     "l1-agd": "7cfc0fbd2eaaf8f87a3195d3498d4ecf3d194672e1994f44e387c2d34458b2b3",
-    "linf": "cb7404da879cc68849dc33815cb6fc2f3d0724640583bdc01a672155c504105f",
+    "linf": "4685af4c3e3efb2982fc9e77a04ac8472d070f4e679c5846065efca5d93090dd",
     "lp-embed": "96c9c4c15f914426f1edbecc37330d6da5c11440c843dab2dce3cb20d387cea6",
-    "lp-clarkson": "21d3fad3a1a680cc3c7616e56ec9079e48dd9364ef911de1045ac24464c4ee20",
-    "lp-smoothed": "0b1e12b508a48d16381906ce0ead5b0d68c676f1d6c1f692ed6af05465b1bfc9",
+    "lp-clarkson": "7fbb6cf32d775e34b80856015ecb6ea7b56e552c5045a4e7a54626dae4a17446",
+    "lp-smoothed": "46a0e8079b14010afdec6024d9ed21fc132d85b3698d2570c102fdf79c07e167",
     "lp-cog": "11897af7f64076f560bcae3d9c34bb6a1eda36249dbed78286479966b9b0af21",
-    "lp-seidel": "9d56fd796e2192ed67fcfc9ba45f6eabcac4ff0506e3fd284340d85b1d388e1c",
+    "lp-seidel": "fb175bcb476ff3e411678b25c0d1e97379dfc1a774302631aa8ca30e522aa13f",
     "lp-oracle": "eba7d5e082d01a460365261a1f162ee3a02fe58b5947830063e96ccf7b27141e",
 }
 

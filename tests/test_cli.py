@@ -3,17 +3,25 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from commopt.cli import main
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(args):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "commopt.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "commopt.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 

@@ -139,8 +139,8 @@ def test_enumeration_rejects_non_integer_rows():
 
 def test_incremental_solver_agrees_with_enumeration():
     stream = Stream(12).split("lp-cross")
-    for trial in range(40):
-        d = 2 + trial % 2
+    for trial in range(60):
+        d = 1 + trial % 3
         n = 8
         rows = [
             tuple(stream.randint(-8, 8) for _ in range(d)) for _ in range(n)
@@ -155,11 +155,15 @@ def test_incremental_solver_agrees_with_enumeration():
             rows.append(tuple(e))
             rhs.append(8)
         c = [stream.randint(-5, 5) for _ in range(d)]
-        halfspaces = [(tuple(Fraction(v) for v in row), Fraction(b)) for row, b in zip(rows, rhs)]
-        s1, x1, v1 = solve_lp_enumerate(halfspaces, [Fraction(v) for v in c])
-        s2, x2, v2 = solve_lp(halfspaces, [Fraction(v) for v in c], stream.split("order", trial))
-        assert s1 == s2 == "SOLVED"
-        assert v1 == v2
+        int_rows = list(zip(rows, rhs))
+        frac_rows = [(tuple(Fraction(v) for v in row), Fraction(b)) for row, b in int_rows]
+        for halfspaces in (frac_rows, int_rows):
+            s1, x1, v1 = solve_lp_enumerate(halfspaces, [Fraction(v) for v in c])
+            s2, x2, v2 = solve_lp(halfspaces, [Fraction(v) for v in c], stream.split("order", trial))
+            assert s1 == s2 == "SOLVED"
+            assert v1 == v2
+            # Integer rows must never reach an int / int (float) division.
+            assert all(type(v) is Fraction for v in (*x1, v1, *x2, v2))
 
 
 def test_cramer_bound_on_oracle_vertices():
@@ -212,6 +216,16 @@ def test_clarkson_multiplicity_law():
                 assert v <= Fraction(2 * h, 9 * d - 1)
             elif v != 0:
                 assert v > Fraction(2 * h, 9 * d - 1)
+
+
+def test_constraint_payloads_on_integer_instance_are_ints():
+    for name, seed in (("lp-clarkson", 11), ("lp-seidel", 14)):
+        inst = gen_random(GenSpec("lp", n=20, d=2, L=6, s=2, seed=seed))
+        _, transcript = run_protocol(name, inst, seed=99)
+        rows = [r for m in transcript.messages if m.kind == "constraints" for r in m.payload]
+        rows += [m.payload for m in transcript.messages if m.kind == "constraint"]
+        assert rows
+        assert all(type(v) is int for row in rows for v in row)
 
 
 def test_clarkson_infeasible_detected():
