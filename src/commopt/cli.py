@@ -7,7 +7,9 @@ Exit codes: 0 completed (including INFEASIBLE verdicts), 2 usage errors,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -16,15 +18,19 @@ from fractions import Fraction
 from . import registry
 from .commsim import ProtocolError, run_protocol
 from .config import DEFAULTS
-from .exactnum import INFEASIBLE, dot, min_norm_least_squares, rank_and_solve
+from .exactnum import INFEASIBLE, dot, leverage_scores, min_norm_least_squares, rank_and_solve
 from .instances import GenSpec, gen_random, read_instance, write_instance
-from .lpsolve import SizeGuardError, lp_exact_oracle
-from .regression import l2_sq_norm
+from .lpsolve import SizeGuardError, lp_exact_oracle, solve_lp_enumerate
+from .regression import l1_exact_oracle, l2_sq_norm, linf_lp_instance
+from .rowsample import lewis_weights_local
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_GUARD = 4
+
+# Relative slack for lp-cog's float point and objective value.
+COG_TOL = 1e-9
 
 
 def _default_seed() -> int:
@@ -64,6 +70,11 @@ def cmd_run(args) -> int:
         params["eps"] = args.eps
     if args.p is not None:
         params["p"] = args.p
+    try:
+        inspect.signature(registry.lookup(args.protocol).fn).bind(inst, None, None, cfg, **params)
+    except TypeError as exc:
+        print(f"error: protocol {args.protocol!r} rejects these flags: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     started = time.perf_counter()
     try:
         outcome, transcript = run_protocol(
@@ -71,9 +82,6 @@ def cmd_run(args) -> int:
         )
     except ProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TypeError as exc:
-        print(f"error: protocol {args.protocol!r} rejects these flags: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
@@ -98,9 +106,22 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _bench_oracle_check(inst, outcome) -> bool:
-    """Compare a protocol outcome against the registered oracle for its kind."""
-    if inst.kind in ("linsys", "linsys-feasible"):
+def _lp_norm_opt(inst, p: float) -> float:
+    """min_x ||Ax - b||_p in floats: BFGS on the convex sum of |r_i|^p."""
+    import numpy as np
+    from scipy.optimize import minimize
+
+    a = np.array(inst.A, dtype=float)
+    b = np.array(inst.b, dtype=float)
+    x0 = np.linalg.lstsq(a, b, rcond=None)[0]
+    res = minimize(lambda x: float(np.sum(np.abs(a @ x - b) ** p)), x0, method="BFGS", tol=1e-12)
+    return float(res.fun) ** (1.0 / p)
+
+
+def _bench_oracle_check(name: str, inst, outcome, params: dict) -> bool:
+    """Judge an outcome of protocol `name` against an independent oracle, with
+    the tolerance that protocol guarantees; `params` are the protocol's own."""
+    if name.startswith("linsys"):
         _, _, x = rank_and_solve(inst.A, inst.b)
         feasible = x != INFEASIBLE
         if outcome.status == INFEASIBLE:
@@ -110,17 +131,52 @@ def _bench_oracle_check(inst, outcome) -> bool:
         if outcome.x is None:
             return False
         return all(dot(row, outcome.x) == b for row, b in zip(inst.A, inst.b))
-    if inst.kind == "lp":
+    if name in ("leverage", "lewis"):
+        # Most entries within a factor 8 of the exact scores / local weights.
+        rows = [inst.A[i] for sid in range(1, inst.s + 1) for i in inst.rows_of(sid)]
+        if name == "leverage":
+            got = outcome.extra["scores"]
+            truth = [float(t) for t in leverage_scores(rows, base=list(inst.A))]
+        else:
+            got = outcome.extra["weights"]
+            truth = list(lewis_weights_local(rows))
+            if not (all(0.0 < w <= 1.0 for w in got) and inst.d / 2 <= sum(got) <= 2 * inst.d):
+                return False
+        good = sum(g < 1e-9 if t == 0.0 else 0.125 <= g / t <= 8.0 for g, t in zip(got, truth))
+        return len(got) == len(truth) and good >= 0.9 * len(truth)
+    if name == "l2-exact":
+        return list(outcome.x) == min_norm_least_squares(inst.A, inst.b)
+    if name == "l2-sampled":
+        best = math.sqrt(float(l2_sq_norm(inst.A, inst.b, min_norm_least_squares(inst.A, inst.b))))
+        return best - 1e-9 <= outcome.value <= (1 + params["eps"]) * best + 1e-9
+    if name in ("l1-simple", "l1-lewis"):
+        best = l1_exact_oracle(list(inst.A), list(inst.b)).value
+        return best <= outcome.value <= (1 + Fraction(params["eps"])) * best
+    if name == "l1-agd":
+        # Judged on the rows it sampled, the guarantee its descent gives.
+        rows = [r for view in outcome.extra["sampled_views"] for r in view]
+        best = l1_exact_oracle([r[:-1] for r in rows], [r[-1] for r in rows]).value
+        return outcome.extra["sampled_value"] <= (1 + params["eps"]) * float(best) + 1e-9
+    if name == "lp-embed":
+        best = _lp_norm_opt(inst, params["p"])
+        return best * (1 - 1e-9) <= outcome.value <= (1 + 3 * params["eps"]) * best
+    if name == "linf":
+        status, x, _ = lp_exact_oracle(linf_lp_instance(inst))
+        return outcome.status == status == "SOLVED" and outcome.value == x[inst.d]
+    if name == "lp-smoothed":
+        c = [Fraction(v) for v in inst.c]
+        status, _, value = solve_lp_enumerate(outcome.extra["perturbed"].rows, c)
+    else:
         status, _, value = lp_exact_oracle(inst)
-        if outcome.status != status:
+    if name == "lp-cog":
+        # Float point and value; returning no point is right only for an empty LP.
+        if outcome.x is None or status != "SOLVED":
+            return outcome.x is None and status != "SOLVED"
+        x = [Fraction(v) for v in outcome.x]
+        if any(dot(row, x) > beta + COG_TOL * (1 + abs(beta)) for row, beta in zip(inst.A, inst.b)):
             return False
-        return status != "SOLVED" or outcome.value == value
-    if inst.kind == "regression":
-        x = min_norm_least_squares(inst.A, inst.b)
-        best = l2_sq_norm(inst.A, inst.b, x)
-        got = l2_sq_norm(inst.A, inst.b, [Fraction(v) for v in outcome.x])
-        return got <= best * Fraction(9, 4)  # within (1.5)^2 of optimal
-    return True
+        return outcome.value is None or outcome.value <= float(value) + COG_TOL * (1 + abs(float(value)))
+    return outcome.status == status and (status != "SOLVED" or outcome.value == value)
 
 
 def cmd_bench(args) -> int:
@@ -131,6 +187,8 @@ def cmd_bench(args) -> int:
         print("error: --values must be a comma-separated integer list", file=sys.stderr)
         return EXIT_USAGE
 
+    sig = inspect.signature(registry.lookup(args.protocol).fn).parameters.values()
+    params = {p.name: p.default for p in sig if p.default is not p.empty}
     rows_out = ["protocol,sweep,value,seed,total_bits,rounds,correct"]
     base_spec = GenSpec(args.kind, args.n, args.d, args.L, args.s, args.seed_base)
     for value in values:
@@ -153,10 +211,10 @@ def cmd_bench(args) -> int:
                 outcome, transcript = run_protocol(
                     args.protocol, inst, mode=args.mode, seed=seed, cfg=cfg
                 )
+                ok = _bench_oracle_check(args.protocol, inst, outcome, params)
             except SizeGuardError as exc:
                 print(f"size guard: {exc}", file=sys.stderr)
                 return EXIT_GUARD
-            ok = _bench_oracle_check(inst, outcome)
             rows_out.append(
                 f"{args.protocol},{args.sweep},{value},{seed},{transcript.total_bits},{transcript.rounds},{int(ok)}"
             )

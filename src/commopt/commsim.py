@@ -1,8 +1,8 @@
 """Coordinator-model and blackboard-model message accounting.
 
 Servers and the coordinator exchange typed payloads through a `Network`,
-which prices every message with the shared `BitCostModel` and appends it to
-an ordered `Transcript`.  Protocols never touch another party's state except
+which prices every message (`Network.payload_bits`) and appends it to an
+ordered `Transcript`.  Protocols never touch another party's state except
 through `Network` calls, so the transcript is a complete record of what
 crossed party boundaries.
 
@@ -19,10 +19,10 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any
 
 from .config import DEFAULTS, Constants
-from .exactnum import DEFAULT_BIT_MODEL, BitCostModel
 from .rng import Stream
 
 COORDINATOR_MODE = "coordinator"
@@ -101,30 +101,44 @@ class ProtocolError(ValueError):
     pass
 
 
+def _scalar_bits(x) -> int:
+    """Sign bit plus minimal binary magnitude (at least 1) for an int, bools
+    included; one 64-bit word for a float; numerator plus denominator for a
+    `Fraction`."""
+    if isinstance(x, int):
+        return 1 + (abs(x).bit_length() or 1)
+    if isinstance(x, float):
+        return 64
+    if isinstance(x, Fraction):
+        return _scalar_bits(x.numerator) + _scalar_bits(x.denominator)
+    raise TypeError(f"unpriceable payload {type(x)!r}")
+
+
 class Network:
     """Message router and bit accountant for one protocol run."""
 
-    def __init__(self, mode: str, s: int, model: BitCostModel = DEFAULT_BIT_MODEL):
+    def __init__(self, mode: str, s: int):
         if mode not in MODES:
             raise ProtocolError(f"unknown mode {mode!r}")
         self.mode = mode
         self.s = s
-        self.model = model
         self.transcript = Transcript(mode)
         self._addr_bits = max(1, math.ceil(math.log2(max(s, 2))))
 
     # -- payload pricing ---------------------------------------------------
 
     def payload_bits(self, payload) -> int:
+        """Encoded size of a payload: `None` is 1 bit, a vector a 32-bit length
+        header plus its entries, a matrix (a list or tuple whose first item is
+        a list or tuple) two headers plus its entries, and a scalar as
+        `_scalar_bits` prices it.  Anything else raises `TypeError`."""
         if payload is None:
             return 1
-        if isinstance(payload, (int, float)) or hasattr(payload, "denominator"):
-            return self.model.scalar_bits(payload)
         if isinstance(payload, (list, tuple)):
             if payload and isinstance(payload[0], (list, tuple)):
-                return self.model.matrix_bits(payload)
-            return self.model.vector_bits(payload)
-        raise TypeError(f"unpriceable payload {type(payload)!r}")
+                return 64 + sum(_scalar_bits(x) for row in payload for x in row)
+            return 32 + sum(map(_scalar_bits, payload))
+        return _scalar_bits(payload)
 
     def _log(self, sender, receiver, kind, payload, bits):
         self.transcript.messages.append(Message(sender, receiver, kind, payload, bits))
@@ -184,7 +198,7 @@ def shared_randomness(seed: int) -> Stream:
     return Stream(seed)
 
 
-def validate_transcript(transcript: Transcript, s: int, model: BitCostModel = DEFAULT_BIT_MODEL):
+def validate_transcript(transcript: Transcript, s: int):
     """Schema check: party shapes, broadcast legality, and bit envelopes.
 
     Every message must carry at least 1 bit and no more than its payload cost
@@ -192,7 +206,7 @@ def validate_transcript(transcript: Transcript, s: int, model: BitCostModel = DE
     transcripts.
     """
     addr = max(1, math.ceil(math.log2(max(s, 2))))
-    pricer = Network(transcript.mode, s, model)
+    pricer = Network(transcript.mode, s)
     for m in transcript.messages:
         if m.receiver.kind == "broadcast" and transcript.mode != BLACKBOARD_MODE:
             raise ProtocolError("broadcast message in a coordinator-mode transcript")

@@ -38,8 +38,6 @@ class Constants:
     oracle_guard: int = 10**6
     # Extra guard bits in the smoothed-Clarkson rounding grid delta.
     smoothed_delta_slack: int = 40
-    # l1 oracle size guard on n*d.
-    l1_oracle_guard: int = 4000
 
     def with_multipliers(self, c_mult: float = 1.0, k_mult: float = 1.0, r_mult: float = 1.0) -> "Constants":
         return replace(

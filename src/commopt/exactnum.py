@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate: rationals, finite fields, and the bit-cost model.
+"""Exact arithmetic substrate: rationals and finite fields.
 
 Rational scalars are plain `fractions.Fraction` values, which already maintain
 the reduced-fraction invariant (gcd(|num|, den) = 1, den >= 1, zero as 0/1).
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,52 +27,6 @@ INFEASIBLE = "INFEASIBLE"
 
 class DimensionError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Bit-cost encoding model
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BitCostModel:
-    """Sign-plus-magnitude integer encoding with length headers on vectors."""
-
-    header_bits_per_length_field: int = 32
-    sign_plus_magnitude: bool = True
-
-    def int_bits(self, k: int) -> int:
-        magnitude = 1 if k == 0 else abs(k).bit_length()
-        return 1 + magnitude
-
-    def scalar_bits(self, x) -> int:
-        if isinstance(x, bool):
-            return 2
-        if isinstance(x, int):
-            return self.int_bits(x)
-        if isinstance(x, Fraction):
-            return self.int_bits(x.numerator) + self.int_bits(x.denominator)
-        if isinstance(x, float):
-            # Floats are modeled as one 64-bit machine word.
-            return 64
-        raise TypeError(f"no bit cost for {type(x)!r}")
-
-    def vector_bits(self, v: Sequence) -> int:
-        return self.header_bits_per_length_field + sum(self.scalar_bits(x) for x in v)
-
-    def matrix_bits(self, rows: Sequence[Sequence]) -> int:
-        total = 2 * self.header_bits_per_length_field
-        for row in rows:
-            total += sum(self.scalar_bits(x) for x in row)
-        return total
-
-
-DEFAULT_BIT_MODEL = BitCostModel()
-
-
-def bit_cost_int(k: int, model: BitCostModel = DEFAULT_BIT_MODEL) -> int:
-    """Cost of one integer: 1 sign bit plus minimal binary magnitude."""
-    return model.int_bits(k)
 
 
 # ---------------------------------------------------------------------------

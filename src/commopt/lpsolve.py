@@ -507,8 +507,6 @@ def center_of_gravity(
     net: Network,
     stream: Stream,
     cfg: Constants,
-    eps_round: float | None = None,
-    optimize: bool | None = None,
     rounds_cap: int | None = None,
 ) -> ProtocolOutcome:
     """Cutting-plane feasibility / optimization with rounded cut directions.
@@ -520,12 +518,8 @@ def center_of_gravity(
     import numpy as np
 
     d = instance.d
-    if eps_round is None:
-        eps_round = 0.09 / d ** 1.5
-    if eps_round >= 0.1 / d ** 1.5:
-        raise ValueError("eps_round must be below 0.1 / d^1.5")
-    if optimize is None:
-        optimize = instance.c is not None and any(instance.c)
+    eps_round = 0.09 / d ** 1.5  # the rounding analysis needs it below 0.1 / d^1.5
+    optimize = instance.c is not None and any(instance.c)
 
     L = max(instance.L, 1)
     box = float(min(cramer_bound(d, L) + 1, 10.0 ** 12))

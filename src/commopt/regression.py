@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .commsim import Network, ProtocolOutcome
-from .config import DEFAULTS, Constants
+from .config import Constants
 from .exactnum import (
     dot,
     gram,
@@ -29,7 +29,6 @@ from .lpsolve import (
     SizeGuardError,
     box_halfspaces,
     clarkson,
-    instance_halfspaces,
     solve_lp,
     trunc_to_grid,
 )
@@ -170,6 +169,9 @@ def _coordinated_plans(per_server_scores, target: float, norm: str, net: Network
 # Exact l1 minimization (descent over interpolation bases)
 # ---------------------------------------------------------------------------
 
+# Size guard of the exact l1 solver on n*d (rows before merging).
+L1_ORACLE_GUARD = 4000
+
 
 def _l1_descent_direction(g, zero_rows, weights, d):
     """Exact steepest-descent subproblem at a kink point.
@@ -205,7 +207,7 @@ def _l1_descent_direction(g, zero_rows, weights, d):
     return -value, list(sol[:d])
 
 
-def l1_minimize_exact(rows, rhs, guard: int = DEFAULTS.l1_oracle_guard):
+def l1_minimize_exact(rows, rhs):
     """Exact rational minimizer of ||Ax - b||_1.
 
     Piecewise-linear descent: at each iterate an exact direction LP either
@@ -216,7 +218,7 @@ def l1_minimize_exact(rows, rhs, guard: int = DEFAULTS.l1_oracle_guard):
     """
     n_raw = len(rows)
     d = len(rows[0])
-    if n_raw * d > guard:
+    if n_raw * d > L1_ORACLE_GUARD:
         raise SizeGuardError(f"l1 oracle guard exceeded: {n_raw}x{d}")
 
     merged: dict[tuple, int] = {}
@@ -286,8 +288,8 @@ def l1_minimize_exact(rows, rhs, guard: int = DEFAULTS.l1_oracle_guard):
     raise RuntimeError("l1 descent failed to converge")
 
 
-def l1_exact_oracle(rows, rhs, guard: int = DEFAULTS.l1_oracle_guard) -> RegressionResult:
-    x, value = l1_minimize_exact(rows, rhs, guard)
+def l1_exact_oracle(rows, rhs) -> RegressionResult:
+    x, value = l1_minimize_exact(rows, rhs)
     return RegressionResult(tuple(x), value, "l1-exact-oracle")
 
 
@@ -358,9 +360,7 @@ def l1_simple(
         sketch = _local_l1_sketch(aug, m, eps, stream.split("sketch", sid))
         net.to_coordinator(sid, "sketch", [list(r) for r in sketch])
         stacked.extend(sketch)
-    x, _ = l1_minimize_exact(
-        [r[:-1] for r in stacked], [r[-1] for r in stacked], guard=cfg.l1_oracle_guard
-    )
+    x, _ = l1_minimize_exact([r[:-1] for r in stacked], [r[-1] for r in stacked])
     value = _l1_value_round(instance, net, x)
     return ProtocolOutcome(
         "SOLVED", x=tuple(x), value=value, extra={"sketch_rows": len(stacked)}
@@ -389,9 +389,7 @@ def l1_lewis(
         plans = _coordinated_plans(weights, target, "l1", net)
         sampled = _distributed_sample(aug_views, plans, net, stream.split("sample"), "l1samp")
 
-    x, _ = l1_minimize_exact(
-        [r[:-1] for r in sampled], [r[-1] for r in sampled], guard=cfg.l1_oracle_guard
-    )
+    x, _ = l1_minimize_exact([r[:-1] for r in sampled], [r[-1] for r in sampled])
     value = _l1_value_round(instance, net, x)
     return ProtocolOutcome(
         "SOLVED", x=tuple(x), value=value, extra={"sampled": len(sampled)}
@@ -546,11 +544,7 @@ def l1_agd(
         sk = _local_l1_sketch(view, m_pres, 0.9, stream.split("presolve", sid))
         net.to_coordinator(sid, "presolve-sketch", [list(r) for r in sk])
         presolve_rows.extend(sk)
-    xp, _ = l1_minimize_exact(
-        [r[:-1] for r in presolve_rows],
-        [r[-1] for r in presolve_rows],
-        guard=cfg.l1_oracle_guard,
-    )
+    xp, _ = l1_minimize_exact([r[:-1] for r in presolve_rows], [r[-1] for r in presolve_rows])
     opt_est = sampled_l1(np.array([float(v) for v in xp]))
     for sid in range(1, instance.s + 1):
         net.to_coordinator(sid, "presolve-value", float(opt_est))
@@ -763,8 +757,8 @@ def lp_regression(
 ) -> ProtocolOutcome:
     """Embed into a sum of l-infinity blocks, solve the LP, report ||Ax-b||_p.
 
-    The assembled LP has d + R variables; beyond the exact solver's small
-    dimension range the coordinator solves it in floats (HiGHS).
+    The assembled LP has d + R variables, with R >= 32 at the default
+    sampling constant, so the coordinator solves it in floats (HiGHS).
     """
     lp, info = lp_embed_reduce(instance, p, eps, stream.split("embed"), cfg)
     for sid in range(1, instance.s + 1):
@@ -772,22 +766,15 @@ def lp_regression(
         if rows:
             net.to_coordinator(sid, "constraints", rows)
 
-    dim = lp.d
-    if dim <= 6:
-        status, x_full, _ = solve_lp(instance_halfspaces(lp), [Fraction(v) for v in lp.c], stream.split("solve"))
-        if status != "SOLVED":
-            return ProtocolOutcome(status)
-        x = [float(v) for v in x_full[: instance.d]]
-    else:
-        from scipy.optimize import linprog
+    from scipy.optimize import linprog
 
-        a_ub = np.array([[float(v) for v in row] for row in lp.A])
-        b_ub = np.array([float(v) for v in lp.b])
-        cost = np.array([0.0] * instance.d + [1.0] * info["R"])
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
-        if not res.success:
-            return ProtocolOutcome("EMPTY", extra={"solver": res.message})
-        x = [float(v) for v in res.x[: instance.d]]
+    a_ub = np.array([[float(v) for v in row] for row in lp.A])
+    b_ub = np.array([float(v) for v in lp.b])
+    cost = np.array([0.0] * instance.d + [1.0] * info["R"])
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+    if not res.success:
+        return ProtocolOutcome("EMPTY", extra={"solver": res.message})
+    x = [float(v) for v in res.x[: instance.d]]
 
     net.to_all_servers("solution", [float(v) for v in x])
     total = 0.0

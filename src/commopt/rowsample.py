@@ -23,7 +23,7 @@ from .rng import Stream
 MAX_RESCALE = 1 << 40
 
 
-def leverage_scores_float(a_rows, b_rows, rcond: float = 1e-10) -> np.ndarray:
+def leverage_scores_float(a_rows, b_rows) -> np.ndarray:
     """Generalized leverage scores of the rows of A w.r.t. B, in doubles.
 
     Rows outside the row space of B get +inf, matching the exact scorer.
@@ -41,7 +41,7 @@ def leverage_scores_float(a_rows, b_rows, rcond: float = 1e-10) -> np.ndarray:
         out = np.full(len(a), np.inf)
         out[np.all(a == 0.0, axis=1)] = 0.0
         return out
-    keep = sing > sing[0] * rcond * max(b.shape)
+    keep = sing > sing[0] * 1e-10 * max(b.shape)  # relative rank cutoff
     v_r = vt[keep].T  # d x r rowspace basis
     sig = sing[keep]
     proj = a @ v_r
@@ -227,9 +227,7 @@ def lewis_iterations(n: int) -> int:
     return math.ceil(math.log2(math.log2(max(n, 4)))) + 3
 
 
-def lewis_protocol(
-    server_views, d: int, L: int, net: Network, stream: Stream, cfg: Constants, T: int | None = None
-):
+def lewis_protocol(server_views, d: int, L: int, net: Network, stream: Stream, cfg: Constants):
     """Distributed fixed-point iteration w <- sqrt(w * tau(W^(-1/2) A)).
 
     Weight scalings travel as integers (rounded w^(-1/2)), so the leverage
@@ -240,13 +238,11 @@ def lewis_protocol(
         for row in view:
             if not any(row):
                 raise ValueError("lewis weights need every row to have a nonzero entry")
-    if T is None:
-        T = lewis_iterations(n)
     floor_exp = cfg.lewis_c1 * max(L, 1) * max(1, math.ceil(math.log2(max(n * d, 2))))
     w_floor = max(2.0 ** -min(floor_exp, 1000), 5e-324)
 
     weights = [np.ones(len(view)) for view in server_views]
-    for t in range(T):
+    for t in range(lewis_iterations(n)):
         scaled_views = []
         for view, w in zip(server_views, weights):
             scales = [max(1, round(1.0 / math.sqrt(wi))) for wi in w]
@@ -261,14 +257,11 @@ def lewis_protocol(
     return weights
 
 
-def lewis_weights_local(rows, T: int | None = None) -> np.ndarray:
+def lewis_weights_local(rows) -> np.ndarray:
     """Local Lewis-weight iteration with float leverage scores (no messages)."""
     a = np.asarray(rows, dtype=float)
-    n = len(a)
-    if T is None:
-        T = lewis_iterations(n)
-    w = np.ones(n)
-    for _ in range(T):
+    w = np.ones(len(a))
+    for _ in range(lewis_iterations(len(a))):
         scaled = a / np.sqrt(w)[:, None]
         tau = leverage_scores_float(scaled, scaled)
         tau = np.clip(np.where(np.isfinite(tau), tau, 1.0), 0.0, 1.0)

@@ -183,3 +183,36 @@ def test_bench_bits_column_matches_transcript(tmp_path, capsys):
     inst = gen_random(GenSpec("linsys", n=12, d=3, L=6, s=3, seed=0)).repartitioned(3)
     _, transcript = run_protocol("linsys-det", inst, seed=0)
     assert int(row[4]) == transcript.total_bits
+
+
+@pytest.mark.parametrize(
+    "protocol, kind, n, d, L",
+    [("leverage", "regression", 12, 2, 4), ("lp-cog", "lp", 6, 1, 3)],
+)
+def test_bench_judges_each_protocol_by_its_own_oracle(tmp_path, capsys, protocol, kind, n, d, L):
+    out = tmp_path / "bench.csv"
+    code = main([
+        "bench", "--protocol", protocol, "--sweep", "s", "--values", "2", "--seeds", "2",
+        "--kind", kind, "--n", str(n), "--d", str(d), "--L", str(L), "-o", str(out),
+    ])
+    assert code == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh, strict=True))[1:]
+    assert len(rows) == 2
+    assert all(row[6] == "1" for row in rows)
+
+
+def test_run_does_not_mask_type_errors_inside_a_protocol(tmp_path, monkeypatch, capsys):
+    from commopt import registry
+
+    def unpriceable(instance, net, stream, cfg):
+        net.to_coordinator(1, "text", "not a number")
+
+    inst = tmp_path / "a.json"
+    main(["gen", "--kind", "linsys", "--n", "4", "--d", "2", "--L", "4", "--s", "2", "-o", str(inst)])
+    table = {name: registry.lookup(name) for name in registry.names()}
+    table["linsys-det"] = registry.Entry(unpriceable, registry.BOTH)
+    monkeypatch.setattr(registry, "_REGISTRY", table)
+    with pytest.raises(TypeError, match="unpriceable payload"):
+        main(["run", "--protocol", "linsys-det", "--input", str(inst)])

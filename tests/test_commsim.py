@@ -1,6 +1,10 @@
-"""Network accounting, transcript structure, and stream determinism."""
+"""Message pricing, network accounting, transcript structure, and stream determinism."""
 
 import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
 
 from commopt.commsim import (
     BLACKBOARD_MODE,
@@ -10,6 +14,40 @@ from commopt.commsim import (
     shared_randomness,
 )
 from commopt.instances import GenSpec, gen_random
+
+PRICE = Network(COORDINATOR_MODE, 2).payload_bits
+
+
+def test_payload_bits_int_examples():
+    assert PRICE(0) == 2
+    assert PRICE(7) == 4
+    assert PRICE(-8) == 5
+
+
+def test_payload_bits_rational_and_vector():
+    assert PRICE(Fraction(7, 8)) == 4 + 5
+    assert PRICE([0, 7]) == 32 + 2 + 4
+    assert PRICE([[1], [1]]) == 64 + 2 + 2
+
+
+def test_payload_bits_l_bit_entry_bound():
+    L = 12
+    for k in range(-(1 << L), (1 << L) + 1, 97):
+        assert PRICE(k) <= L + 2
+
+
+def test_payload_bits_none_bool_float_and_tuples():
+    assert PRICE(None) == 1
+    assert PRICE(True) == 2
+    assert PRICE(False) == 2
+    assert PRICE(0.5) == 64
+    assert PRICE(((1, -3), (Fraction(1, 2), 0))) == PRICE([[1, -3], [Fraction(1, 2), 0]]) == 64 + 2 + 3 + 5 + 2
+
+
+@pytest.mark.parametrize("payload", ["abc", np.array([1, 2])])
+def test_payload_bits_rejects_unpriceable_payloads(payload):
+    with pytest.raises(TypeError):
+        PRICE(payload)
 
 
 def test_stream_determinism():

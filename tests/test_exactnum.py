@@ -1,4 +1,4 @@
-"""Exact arithmetic, bit-cost model, primes, and leverage scores."""
+"""Exact arithmetic, primes, and leverage scores."""
 
 import math
 from fractions import Fraction
@@ -11,9 +11,7 @@ from commopt.exactnum import (
     INFEASIBLE,
     INFINITY,
     AugmentedBasis,
-    BitCostModel,
     DimensionError,
-    bit_cost_int,
     dot,
     gram,
     int_det,
@@ -29,27 +27,6 @@ from commopt.exactnum import (
     transpose,
 )
 from commopt.rng import Stream
-
-MODEL = BitCostModel()
-
-
-def test_bit_cost_int_examples():
-    assert bit_cost_int(0) == 2
-    assert bit_cost_int(7) == 4
-    assert bit_cost_int(-8) == 5
-
-
-def test_bit_cost_rational_and_vector():
-    assert MODEL.scalar_bits(Fraction(7, 8)) == 4 + 5
-    assert MODEL.vector_bits([0, 7]) == 32 + 2 + 4
-    assert MODEL.matrix_bits([[1], [1]]) == 64 + 2 + 2
-
-
-def test_bit_cost_l_bit_entry_bound():
-    L = 12
-    for k in range(-(1 << L), (1 << L) + 1, 97):
-        assert bit_cost_int(k) <= L + 2
-
 
 def test_rank_and_solve_identity():
     rank, basis, x = rank_and_solve([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 3])
