@@ -183,6 +183,15 @@ class Network:
                     self._log(COORDINATOR, server(j), kind, payload, cost + self._addr_bits)
         return payload
 
+    def gather(self, kind: str, server_views) -> list[tuple]:
+        """Every server with rows sends them all; returns them stacked in server order."""
+        stacked: list[tuple] = []
+        for i, view in enumerate(server_views, start=1):
+            if view:
+                self.to_coordinator(i, kind, [list(r) for r in view])
+                stacked.extend(view)
+        return stacked
+
     def verdict(self, sender_index: int | None, kind: str, payload=None):
         """1-bit termination or sync signal."""
         if sender_index is None:

@@ -446,10 +446,6 @@ def perturb_lp_stream(base: Instance, sigma: float, t: int, stream: Stream) -> P
     return PerturbedLP(base, sigma, t, noise)
 
 
-def perturb_lp(base: Instance, sigma: float, t: int, seed: int) -> PerturbedLP:
-    return perturb_lp_stream(base, sigma, t, Stream(seed).split("smoothed-noise"))
-
-
 def smoothed_delta(n: int, d: int, L: int, sigma: float, cfg: Constants) -> Fraction:
     bits = 2 * L + math.ceil(math.log2(n * d)) + math.ceil(math.log2(1 / sigma)) + cfg.smoothed_delta_slack
     return Fraction(1, 1 << bits)
@@ -471,17 +467,10 @@ def smoothed_clarkson(
     optimum of the terminating iteration.
     """
     plp = perturb_lp_stream(instance, sigma, t, stream.split("smoothed-noise"))
-    return run_smoothed_clarkson(plp, net, stream, cfg)
-
-
-def run_smoothed_clarkson(
-    plp: PerturbedLP, net: Network, stream: Stream, cfg: Constants
-) -> ProtocolOutcome:
-    base = plp.base
-    delta = smoothed_delta(base.n, base.d, base.L, plp.sigma, cfg)
+    delta = smoothed_delta(instance.n, instance.d, instance.L, sigma, cfg)
     rows = plp.rows
     per_server = [
-        [rows[i] for i in base.rows_of(sid)] for sid in range(1, base.s + 1)
+        [rows[i] for i in instance.rows_of(sid)] for sid in range(1, instance.s + 1)
     ]
 
     def encoder(x_r):
@@ -489,9 +478,9 @@ def run_smoothed_clarkson(
         payload = [int(v / delta) for v in rounded]  # integers on the delta grid
         return payload, rounded
 
-    outcome = clarkson(base, net, stream, cfg, rows_override=per_server, solution_encoder=encoder)
-    outcome.extra["sigma"] = plp.sigma
-    outcome.extra["t"] = plp.t
+    outcome = clarkson(instance, net, stream, cfg, rows_override=per_server, solution_encoder=encoder)
+    outcome.extra["sigma"] = sigma
+    outcome.extra["t"] = t
     outcome.extra["delta"] = delta
     outcome.extra["perturbed"] = plp
     return outcome
@@ -729,9 +718,6 @@ def seidel(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> 
 def lp_oracle_entry(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> ProtocolOutcome:
     """Ship everything to the coordinator and run the enumeration oracle."""
     _distribute_objective(instance, net, cfg)
-    for sid in range(1, instance.s + 1):
-        rows = instance.server_aug_rows(sid)
-        if rows:
-            net.to_coordinator(sid, "constraints", [list(r) for r in rows])
+    net.gather("constraints", [instance.server_aug_rows(sid) for sid in range(1, instance.s + 1)])
     status, x, value = lp_exact_oracle(instance, cfg)
     return ProtocolOutcome(status, x=x, value=value)

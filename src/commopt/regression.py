@@ -34,7 +34,6 @@ from .lpsolve import (
 )
 from .rng import Stream
 from .rowsample import (
-    SamplingPlan,
     _distributed_sample,
     leverage_protocol,
     lewis_protocol,
@@ -56,16 +55,8 @@ class RegressionResult:
 # ---------------------------------------------------------------------------
 
 
-def l1_norm(rows, rhs, x) -> Fraction:
-    return sum(abs(dot(row, x) - b) for row, b in zip(rows, rhs))
-
-
 def l2_sq_norm(rows, rhs, x) -> Fraction:
     return sum((dot(row, x) - b) ** 2 for row, b in zip(rows, rhs))
-
-
-def linf_norm(rows, rhs, x):
-    return max(abs(dot(row, x) - b) for row, b in zip(rows, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +80,15 @@ def _gram_round(net: Network, d: int, server_rows, server_rhs):
     return g_sum, y_sum
 
 
-def _value_round_l2(instance: Instance, net: Network, x) -> float:
+def _value_round(instance: Instance, net: Network, x, kind: str, term) -> Fraction:
+    """Broadcast x; each server sends the sum of term(residual) over its rows."""
     net.to_all_servers("solution", list(x))
     total = Fraction(0)
     for sid in range(1, instance.s + 1):
-        rows = instance.rows_of(sid)
-        local = sum((dot(instance.A[i], x) - instance.b[i]) ** 2 for i in rows)
-        net.to_coordinator(sid, "residual-sq", Fraction(local))
+        local = sum(term(dot(instance.A[i], x) - instance.b[i]) for i in instance.rows_of(sid))
+        net.to_coordinator(sid, kind, Fraction(local))
         total += local
-    return math.sqrt(float(total))
+    return total
 
 
 def l2_exact(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> ProtocolOutcome:
@@ -110,7 +101,7 @@ def l2_exact(instance: Instance, net: Network, stream: Stream, cfg: Constants) -
         [[instance.b[i] for i in instance.rows_of(sid)] for sid in servers],
     )
     x = solve_normal(g_sum, y_sum)
-    value = _value_round_l2(instance, net, x)
+    value = math.sqrt(float(_value_round(instance, net, x, "residual-sq", lambda r: r * r)))
     return ProtocolOutcome("SOLVED", x=tuple(x), value=value, extra={"method": "l2-exact"})
 
 
@@ -122,25 +113,18 @@ def l2_sampled(
         raise ValueError("eps must lie in (0, 1)")
     d, n = instance.d, instance.n
     target = math.ceil(cfg.sampling_c * (d / eps + d * math.log2(d + 1)))
-    views = [instance.server_rows(sid) for sid in range(1, instance.s + 1)]
     aug_views = [instance.server_aug_rows(sid) for sid in range(1, instance.s + 1)]
 
     if n <= target:
         # Below the sampling budget everything travels; solve exactly.
-        rows: list[tuple] = []
-        for sid in range(1, instance.s + 1):
-            if aug_views[sid - 1]:
-                net.to_coordinator(sid, "rows", [list(r) for r in aug_views[sid - 1]])
-                rows.extend(aug_views[sid - 1])
-        x = min_norm_least_squares([r[:-1] for r in rows], [r[-1] for r in rows])
-        value = _value_round_l2(instance, net, x)
-        return ProtocolOutcome("SOLVED", x=tuple(x), value=value, extra={"sampled": n})
-
-    _, taus = leverage_protocol(views, d, net, stream.split("lev"), cfg)
-    plans = _coordinated_plans(taus, target, "l2", net)
-    sampled = _distributed_sample(aug_views, plans, net, stream.split("sample"), "l2samp")
+        sampled = net.gather("rows", aug_views)
+    else:
+        views = [instance.server_rows(sid) for sid in range(1, instance.s + 1)]
+        _, taus = leverage_protocol(views, d, net, stream.split("lev"), cfg)
+        plans = _coordinated_plans(taus, target, "l2", net)
+        sampled = _distributed_sample(aug_views, plans, net, stream.split("sample"), "l2samp")
     x = min_norm_least_squares([r[:-1] for r in sampled], [r[-1] for r in sampled])
-    value = _value_round_l2(instance, net, x)
+    value = math.sqrt(float(_value_round(instance, net, x, "residual-sq", lambda r: r * r)))
     return ProtocolOutcome(
         "SOLVED", x=tuple(x), value=value, extra={"sampled": len(sampled)}
     )
@@ -148,21 +132,16 @@ def l2_sampled(
 
 def _coordinated_plans(per_server_scores, target: float, norm: str, net: Network):
     """Agree on globally normalized sampling plans (one scalar per server)."""
-    locals_ = []
-    for sid, scores in enumerate(per_server_scores, start=1):
-        mass = float(sum(min(float(t), 1.0) if not math.isinf(t) else 1.0 for t in scores))
-        locals_.append(mass)
+    capped = [
+        [1.0 if math.isinf(float(t)) else min(float(t), 1.0) for t in scores]
+        for scores in per_server_scores
+    ]
+    masses = [float(sum(c)) for c in capped]
+    for sid, mass in enumerate(masses, start=1):
         net.to_coordinator(sid, "score-mass", mass)
-    total = sum(locals_) or 1.0
+    total = sum(masses) or 1.0
     net.to_all_servers("score-total", total)
-    plans = []
-    for scores in per_server_scores:
-        if len(scores) == 0:
-            plans.append(None)
-            continue
-        capped = [1.0 if math.isinf(float(t)) else min(float(t), 1.0) for t in scores]
-        plans.append(make_plan(capped, target * sum(capped) / total, norm))
-    return plans
+    return [make_plan(c, target * sum(c) / total, norm) if c else None for c in capped]
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +277,6 @@ def l1_exact_oracle(rows, rhs) -> RegressionResult:
 # ---------------------------------------------------------------------------
 
 
-def _l1_value_round(instance: Instance, net: Network, x) -> Fraction:
-    net.to_all_servers("solution", list(x))
-    total = Fraction(0)
-    for sid in range(1, instance.s + 1):
-        local = sum(
-            abs(dot(instance.A[i], x) - instance.b[i]) for i in instance.rows_of(sid)
-        )
-        net.to_coordinator(sid, "residual-l1", Fraction(local))
-        total += local
-    return total
-
-
 def _local_l1_sketch(aug_rows, m: int, eps: float, stream: Stream):
     """Lewis-weight sketch of one server's rows, revalidated on probes."""
     n = len(aug_rows)
@@ -328,8 +295,7 @@ def _local_l1_sketch(aug_rows, m: int, eps: float, stream: Stream):
     probes = [np.array([stream.gauss() for _ in range(d_aug)]) for _ in range(12)]
     probes += [np.eye(d_aug)[j] for j in range(d_aug)]
     for attempt in range(32):
-        picks = stream.split("sketch", attempt).draw_weighted(plan.values, plan.N)
-        sk = [tuple(v * plan.rescale(i) for v in aug_rows[i]) for i in picks]
+        sk = plan.draw(aug_rows, plan.N, stream.split("sketch", attempt))
         sk_f = np.asarray(sk, dtype=float)
         ok = True
         for y in probes:
@@ -361,7 +327,7 @@ def l1_simple(
         net.to_coordinator(sid, "sketch", [list(r) for r in sketch])
         stacked.extend(sketch)
     x, _ = l1_minimize_exact([r[:-1] for r in stacked], [r[-1] for r in stacked])
-    value = _l1_value_round(instance, net, x)
+    value = _value_round(instance, net, x, "residual-l1", abs)
     return ProtocolOutcome(
         "SOLVED", x=tuple(x), value=value, extra={"sketch_rows": len(stacked)}
     )
@@ -378,19 +344,14 @@ def l1_lewis(
     aug_views = [instance.server_aug_rows(sid) for sid in range(1, instance.s + 1)]
 
     if n <= target:
-        rows: list[tuple] = []
-        for sid in range(1, instance.s + 1):
-            if aug_views[sid - 1]:
-                net.to_coordinator(sid, "rows", [list(r) for r in aug_views[sid - 1]])
-                rows.extend(aug_views[sid - 1])
-        sampled = rows
+        sampled = net.gather("rows", aug_views)
     else:
         weights = lewis_protocol(aug_views, d + 1, instance.L, net, stream.split("lewis"), cfg)
         plans = _coordinated_plans(weights, target, "l1", net)
         sampled = _distributed_sample(aug_views, plans, net, stream.split("sample"), "l1samp")
 
     x, _ = l1_minimize_exact([r[:-1] for r in sampled], [r[-1] for r in sampled])
-    value = _l1_value_round(instance, net, x)
+    value = _value_round(instance, net, x, "residual-l1", abs)
     return ProtocolOutcome(
         "SOLVED", x=tuple(x), value=value, extra={"sampled": len(sampled)}
     )
@@ -407,27 +368,26 @@ def huber_smooth(t, lam: float) -> np.ndarray:
     return np.where(np.abs(t) <= lam, t * t / (2.0 * lam), np.abs(t) - lam / 2.0)
 
 
-def huber_smooth_grad(t, lam: float) -> np.ndarray:
-    """Elementwise derivative of `huber_smooth` in t."""
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= lam, t / lam, np.sign(t))
+def smoothed_value(server_sa, server_sb, r_inv, z, lam, sigma, z0):
+    """The l1-agd objective sum_i f_lam(<(SA)^i R^-1, z> - Sb_i) + sigma/2 |z - z0|^2.
 
-
-def smoothed_objective_grad(sa, sb, r_inv, z, lam, sigma, z0):
-    """Value and gradient of sum f_lam(<(SA)^i R^-1, z> - Sb_i) + sigma/2 |z-z0|^2."""
+    Returns the total and the per-server data pieces (the Huber sums alone).
+    """
     u = r_inv @ z
-    res = sa @ u - sb
-    val = float(np.sum(huber_smooth(res, lam))) + 0.5 * sigma * float((z - z0) @ (z - z0))
-    grad = r_inv.T @ (sa.T @ huber_smooth_grad(res, lam)) + sigma * (z - z0)
-    return val, grad
+    pieces = [
+        float(np.sum(huber_smooth(sa @ u - sb, lam))) for sa, sb in zip(server_sa, server_sb)
+    ]
+    diff = z - z0
+    return sum(pieces) + 0.5 * sigma * float(diff @ diff), pieces
 
 
-def gradient_exchange(server_sa, server_sb, r_inv, z, lam):
-    """One distributed gradient round, returning the per-branch aggregates.
+def gradient_exchange(server_sa, server_sb, r_inv, z, lam, sigma, z0):
+    """One distributed gradient round: the gradient of `smoothed_value` in z.
 
     Servers send either the signed row sums (saturated branch) or the local
     covariance pieces (quadratic branch); both are exact integer payloads
-    whose bit size is independent of R^-1.
+    whose bit size is independent of R^-1.  Returns the gradient, the
+    per-server pieces and their per-branch sums.
     """
     d = r_inv.shape[0]
     sign_sum = np.zeros(d)
@@ -454,7 +414,7 @@ def gradient_exchange(server_sa, server_sb, r_inv, z, lam):
         sign_sum += local_sign
         cov_sum += local_cov
         cross_sum += local_cross
-    grad = r_inv.T @ (sign_sum + (cov_sum @ u - cross_sum) / lam)
+    grad = r_inv.T @ (sign_sum + (cov_sum @ u - cross_sum) / lam) + sigma * (z - z0)
     return grad, per_server, (sign_sum, cov_sum, cross_sum)
 
 
@@ -484,19 +444,11 @@ def l1_agd(
     else:
         weights = lewis_protocol(aug_views, d + 1, instance.L, net, stream.split("lewis"), cfg)
         plans = _coordinated_plans(weights, target, "l1", net)
-        sampled_views = []
-        for sid in range(1, instance.s + 1):
-            plan = plans[sid - 1]
-            view = aug_views[sid - 1]
-            count_stream = stream.split("agd-draw", sid)
-            if plan is None or not view:
-                sampled_views.append([])
-                continue
-            local_n = max(1, round(sum(plan.values)))
-            picks = count_stream.draw_weighted(plan.values, local_n)
-            sampled_views.append(
-                [tuple(v * plan.rescale(i) for v in view[i]) for i in picks]
-            )
+        sampled_views = [
+            plan.draw(view, max(1, round(sum(plan.values))), stream.split("agd-draw", sid))
+            if plan else []
+            for sid, (plan, view) in enumerate(zip(plans, aug_views), start=1)
+        ]
 
     # The descent ships float-computed Gram pieces as integers.  Every partial
     # sum of them is bounded by sum_i max|row_i|^2, and doubles hold integers
@@ -535,15 +487,11 @@ def l1_agd(
         return total
 
     # -- Constant-factor presolve for the target scale. -----------------------
-    presolve_rows: list[tuple] = []
     m_pres = math.ceil(cfg.sampling_c * d * math.log2(d + 1))
-    for sid in range(1, instance.s + 1):
-        view = sampled_views[sid - 1]
-        if not view:
-            continue
-        sk = _local_l1_sketch(view, m_pres, 0.9, stream.split("presolve", sid))
-        net.to_coordinator(sid, "presolve-sketch", [list(r) for r in sk])
-        presolve_rows.extend(sk)
+    presolve_rows = net.gather("presolve-sketch", [
+        _local_l1_sketch(view, m_pres, 0.9, stream.split("presolve", sid)) if view else []
+        for sid, view in enumerate(sampled_views, start=1)
+    ])
     xp, _ = l1_minimize_exact([r[:-1] for r in presolve_rows], [r[-1] for r in presolve_rows])
     opt_est = sampled_l1(np.array([float(v) for v in xp]))
     for sid in range(1, instance.s + 1):
@@ -551,7 +499,9 @@ def l1_agd(
 
     warm_val = sampled_l1(x0)
     if warm_val == 0.0 or opt_est == 0.0:
-        value = float(_l1_value_round(instance, net, [Fraction(v) for v in x0_exact]))
+        value = float(
+            _value_round(instance, net, [Fraction(v) for v in x0_exact], "residual-l1", abs)
+        )
         return ProtocolOutcome(
             "SOLVED",
             x=tuple(float(v) for v in x0),
@@ -571,13 +521,6 @@ def l1_agd(
     total_iters = math.ceil(cfg.agd_c2 * d / eps)
     per_stage = max(1, math.ceil(total_iters / cfg.agd_stages))
 
-    def smoothed_value(z_vec, lam, sigma):
-        """Total smoothed objective plus the per-server data pieces."""
-        u = r_inv @ z_vec
-        pieces = [float(np.sum(huber_smooth(sa @ u - sb, lam))) for sa, sb in zip(sa_float, sb_float)]
-        diff = z_vec - z0
-        return sum(pieces) + 0.5 * sigma * float(diff @ diff), pieces
-
     best_z = z.copy()
     best_sampled = warm_val
     stage_log = []
@@ -588,11 +531,11 @@ def l1_agd(
         step = 1.0 / beta
         y = z.copy()
         theta_k = 1.0
-        f_start, _ = smoothed_value(z, lam, sigma)
+        f_start, _ = smoothed_value(sa_float, sb_float, r_inv, z, lam, sigma, z0)
         f_cur = f_start
         for _ in range(per_stage):
             net.mark_round()
-            grad, per_server, aggregates = gradient_exchange(sa_float, sb_float, r_inv, y, lam)
+            grad, per_server, aggregates = gradient_exchange(sa_float, sb_float, r_inv, y, lam, sigma, z0)
             for sid in range(1, instance.s + 1):
                 local_sign, local_cov, local_cross = per_server[sid - 1]
                 net.to_coordinator(sid, "grad-sign", [int(round(v)) for v in local_sign])
@@ -604,11 +547,10 @@ def l1_agd(
             net.to_all_servers("grad-sign-agg", [int(round(v)) for v in agg_sign])
             net.to_all_servers("grad-cov-agg", [[int(round(v)) for v in row] for row in agg_cov])
             net.to_all_servers("grad-cross-agg", [int(round(v)) for v in agg_cross])
-            grad_full = grad + sigma * (y - z0)
-            z_new = y - step * grad_full
+            z_new = y - step * grad
             theta_new = (1.0 + math.sqrt(1.0 + 4.0 * theta_k * theta_k)) / 2.0
             y = z_new + ((theta_k - 1.0) / theta_new) * (z_new - z)
-            f_new, pieces = smoothed_value(z_new, lam, sigma)
+            f_new, pieces = smoothed_value(sa_float, sb_float, r_inv, z_new, lam, sigma, z0)
             for sid in range(1, instance.s + 1):
                 net.to_coordinator(sid, "objective-part", pieces[sid - 1])
             net.to_all_servers("objective-total", f_new)
@@ -629,7 +571,7 @@ def l1_agd(
 
     x_final = r_inv @ best_z
     value = float(
-        _l1_value_round(instance, net, [Fraction(float(v)) for v in x_final])
+        _value_round(instance, net, [Fraction(float(v)) for v in x_final], "residual-l1", abs)
     )
     return ProtocolOutcome(
         "SOLVED",
@@ -761,10 +703,7 @@ def lp_regression(
     sampling constant, so the coordinator solves it in floats (HiGHS).
     """
     lp, info = lp_embed_reduce(instance, p, eps, stream.split("embed"), cfg)
-    for sid in range(1, instance.s + 1):
-        rows = [list(lp.A[i]) + [lp.b[i]] for i in lp.rows_of(sid)]
-        if rows:
-            net.to_coordinator(sid, "constraints", rows)
+    net.gather("constraints", [lp.server_aug_rows(sid) for sid in range(1, lp.s + 1)])
 
     from scipy.optimize import linprog
 

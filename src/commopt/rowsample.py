@@ -1,9 +1,9 @@
-"""Row sampling: leverage-score halving, Lewis-weight iteration, samplers.
+"""Row sampling: leverage-score halving, Lewis-weight iteration, sampling plans.
 
-The recursion keeps exact rows in the messages (integer rescaling only) but
-scores are computed in double precision; the protocols only ever need
-constant-factor accuracy there, and the exact rational scorer stays available
-as the test oracle.
+The recursion keeps exact rows in the messages (integer rescaling only).
+Above its base case, scores are computed in double precision: the protocols
+only ever need constant-factor accuracy there.  The base case, where every
+row is gathered, scores the rows exactly with `exactnum.leverage_scores`.
 """
 
 from __future__ import annotations
@@ -72,6 +72,13 @@ class SamplingPlan:
         r = 1.0 / math.sqrt(p) if self.norm == "l2" else 1.0 / p
         return int(round(r))
 
+    def draw(self, rows, k: int, stream: Stream) -> list[tuple]:
+        """k independent draws of rows by value, each times its integer rescale."""
+        return [
+            tuple(v * self.rescale(i) for v in rows[i])
+            for i in stream.draw_weighted(self.values, k)
+        ]
+
 
 def _pow2_round_up(p: float, norm: str) -> float:
     """Round the sampling value up so its rescale factor is a power of two."""
@@ -95,17 +102,6 @@ def make_plan(scores, target: float, norm: str) -> SamplingPlan:
         vals.append(_pow2_round_up(max(raw, 2 ** -80), norm))
     n = math.ceil(sum(vals))
     return SamplingPlan(tuple(vals), norm, n)
-
-
-def build_sampler(plan: SamplingPlan, stream: Stream) -> list[tuple[int, int]]:
-    """N independent (row index, integer rescale) draws, one nonzero per row of S."""
-    if sum(plan.values) <= 0.0:
-        raise ValueError("empty sampling plan")
-    return [(i, plan.rescale(i)) for i in stream.draw_weighted(plan.values, plan.N)]
-
-
-def apply_sampler(rows, sampler) -> list[tuple]:
-    return [tuple(v * scale for v in rows[idx]) for idx, scale in sampler]
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +129,11 @@ def _distributed_sample(server_views, plans, net: Network, stream: Stream, tag: 
         return []
     counts = stream.split(tag, "counts").multinomial(n_draws, masses)
     gathered: list[tuple] = []
-    for sid in range(1, s + 1):
-        net.to_server(sid, f"{tag}-count", counts[sid - 1])
-        if counts[sid - 1] == 0 or not plans[sid - 1]:
+    for sid, (view, plan, count) in enumerate(zip(server_views, plans, counts), start=1):
+        net.to_server(sid, f"{tag}-count", count)
+        if count == 0 or not plan:
             continue
-        local_plan = plans[sid - 1]
-        picks = stream.split(tag, "draw", sid).draw_weighted(local_plan.values, counts[sid - 1])
-        rows = [
-            tuple(v * local_plan.rescale(i) for v in server_views[sid - 1][i])
-            for i in picks
-        ]
+        rows = plan.draw(view, count, stream.split(tag, "draw", sid))
         net.to_coordinator(sid, f"{tag}-rows", [list(r) for r in rows])
         gathered.extend(rows)
     net.to_all_servers(f"{tag}-rows", [list(r) for r in gathered])
@@ -161,11 +152,7 @@ def leverage_protocol(
     n = sum(len(v) for v in server_views)
     threshold = cfg.leverage_c0 * d * max(1, math.ceil(math.log2(d + 1)))
     if n <= threshold:
-        gathered: list[tuple] = []
-        for sid, view in enumerate(server_views, start=1):
-            if view:
-                net.to_coordinator(sid, "base-rows", [list(r) for r in view])
-                gathered.extend(view)
+        gathered = net.gather("base-rows", server_views)
         net.to_all_servers("base-rows", [list(r) for r in gathered])
         taus = []
         for view in server_views:

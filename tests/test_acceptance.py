@@ -16,7 +16,6 @@ import pytest
 from commopt.commsim import run_protocol
 from commopt.exactnum import (
     INFEASIBLE,
-    dot,
     min_norm_least_squares,
     rank_and_solve,
 )
@@ -31,12 +30,13 @@ from commopt.instances import (
 from commopt.linsys import verify_solution
 from commopt.lpsolve import lp_exact_oracle, solve_lp_enumerate
 from commopt.regression import (
+    gradient_exchange,
     l1_exact_oracle,
     linf_lp_instance,
-    smoothed_objective_grad,
+    smoothed_value,
 )
 from commopt.rng import Stream
-from commopt.rowsample import build_sampler, lewis_weights_local, leverage_scores_float, make_plan
+from commopt.rowsample import lewis_weights_local, leverage_scores_float, make_plan
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -193,8 +193,7 @@ def test_criterion_04_sampling_sandwich():
         tau = leverage_scores_float(rows, rows)
         target = c_const * math.log2(d + 1) * eps ** -2 * float(np.sum(np.minimum(tau, 1.0)))
         plan = make_plan(list(tau), target, "l2")
-        sampler = build_sampler(plan, stream.split("draw", t))
-        sa = np.array([[v * sc for v in rows[idx]] for idx, sc in sampler], dtype=float)
+        sa = np.array(plan.draw(rows, plan.N, stream.split("draw", t)), dtype=float)
         ok_seed = True
         for _ in range(100):
             x = np.array([stream.gauss() for _ in range(d)])
@@ -215,8 +214,7 @@ def test_criterion_04_sampling_sandwich():
         w = lewis_weights_local(rows)
         target = c_const * math.log2(d + 1) * eps ** -2 * float(np.sum(w))
         plan = make_plan(list(w), target, "l1")
-        sampler = build_sampler(plan, stream.split("draw", t))
-        sa = np.array([[v * sc for v in rows[idx]] for idx, sc in sampler], dtype=float)
+        sa = np.array(plan.draw(rows, plan.N, stream.split("draw", t)), dtype=float)
         ok_seed = True
         for _ in range(100):
             x = np.array([stream.gauss() for _ in range(d)])
@@ -314,13 +312,15 @@ def test_criterion_06_gradient_correctness():
         res = sa @ (r_inv @ z) - sb
         saturated += int((np.abs(res) > lam).any())
         quadratic += int((np.abs(res) <= lam).any())
-        _, grad = smoothed_objective_grad(sa, sb, r_inv, z, lam, sigma, np.zeros(d))
+        # The protocol's own objective and gradient round; rows split over two servers.
+        server_sa, server_sb = [sa[:4], sa[4:]], [sb[:4], sb[4:]]
+        grad, _, _ = gradient_exchange(server_sa, server_sb, r_inv, z, lam, sigma, np.zeros(d))
         h = 1e-6
         for j in range(d):
             e = np.zeros(d)
             e[j] = h
-            fp, _ = smoothed_objective_grad(sa, sb, r_inv, z + e, lam, sigma, np.zeros(d))
-            fm, _ = smoothed_objective_grad(sa, sb, r_inv, z - e, lam, sigma, np.zeros(d))
+            fp, _ = smoothed_value(server_sa, server_sb, r_inv, z + e, lam, sigma, np.zeros(d))
+            fm, _ = smoothed_value(server_sa, server_sb, r_inv, z - e, lam, sigma, np.zeros(d))
             fd = (fp - fm) / (2 * h)
             worst = max(worst, abs(fd - grad[j]) / max(abs(fd), 1.0))
     ok = worst < 1e-4 and saturated > 0 and quadratic > 0

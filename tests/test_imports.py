@@ -1,0 +1,40 @@
+"""Every name a `commopt` module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "commopt"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Imported names that no expression of the module reads.
+
+    Names listed in `__all__` count as used: they are re-exports.
+    """
+    tree = ast.parse(source)
+    imported = []
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used and name not in exported)
+
+
+def test_checker_flags_an_unused_name():
+    source = "import math\nfrom fractions import Fraction\n\nprint(math.pi)\n"
+    assert unused_imports(source) == ["Fraction"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -15,13 +15,11 @@ from commopt.config import DEFAULTS
 from commopt.exactnum import INFEASIBLE, dot, rank_and_solve
 from commopt.instances import GenSpec, Instance, gen_random
 from commopt.lpsolve import (
-    PerturbedLP,
     SizeGuardError,
     cramer_bound,
     lp_exact_oracle,
-    perturb_lp,
+    perturb_lp_stream,
     sample_discrete_gaussian,
-    smoothed_delta,
     solve_lp,
     solve_lp_enumerate,
     trunc_to_grid,
@@ -250,7 +248,7 @@ def test_discrete_gaussian_grid_and_mean():
 def test_perturbation_guard():
     inst = gen_random(GenSpec("lp", n=10, d=2, L=5, s=2, seed=1))
     with pytest.raises(ValueError):
-        perturb_lp(inst, sigma=0.25, t=5, seed=0)
+        perturb_lp_stream(inst, 0.25, 5, Stream(0))
 
 
 def test_smoothed_clarkson_matches_perturbed_oracle():

@@ -6,24 +6,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from commopt.commsim import Network, run_protocol
+from commopt.commsim import run_protocol
 from commopt.config import DEFAULTS
+from commopt.exactnum import dot
 from commopt.instances import GenSpec, Instance, gen_random
 from commopt.lpsolve import SizeGuardError, lp_exact_oracle
 from commopt.regression import (
     gradient_exchange,
     huber_smooth,
-    huber_smooth_grad,
     inv_exp_moment,
     l1_exact_oracle,
-    l1_minimize_exact,
-    l1_norm,
     linf_lp_instance,
-    linf_norm,
     lp_embed_reduce,
-    smoothed_objective_grad,
+    smoothed_value,
 )
 from commopt.rng import Stream
+
+
+def huber_smooth_grad(t, lam: float) -> np.ndarray:
+    """Reference derivative of `huber_smooth` in t, elementwise."""
+    t = np.asarray(t, dtype=float)
+    return np.where(np.abs(t) <= lam, t / lam, np.sign(t))
 
 
 def reg_instance(rows, rhs, partition, kind="regression", c=None, L=None):
@@ -218,13 +221,13 @@ def test_smoothed_gradient_finite_differences():
         z0 = np.zeros(d)
         lam = 2.0 if trial % 2 else 0.05  # exercise both branches
         sigma = 0.3
-        _, grad = smoothed_objective_grad(sa, sb, r_inv, z, lam, sigma, z0)
+        grad, _, _ = gradient_exchange([sa], [sb], r_inv, z, lam, sigma, z0)
         h = 1e-6
         for j in range(d):
             e = np.zeros(d)
             e[j] = h
-            fp, _ = smoothed_objective_grad(sa, sb, r_inv, z + e, lam, sigma, z0)
-            fm, _ = smoothed_objective_grad(sa, sb, r_inv, z - e, lam, sigma, z0)
+            fp, _ = smoothed_value([sa], [sb], r_inv, z + e, lam, sigma, z0)
+            fm, _ = smoothed_value([sa], [sb], r_inv, z - e, lam, sigma, z0)
             fd = (fp - fm) / (2 * h)
             denom = max(abs(fd), 1.0)
             worst = max(worst, abs(fd - grad[j]) / denom)
@@ -248,10 +251,13 @@ def test_gradient_aggregation_identity():
         r_inv = np.eye(d) + 0.05 * np.array([[stream.gauss() for _ in range(d)] for _ in range(d)])
         z = np.array([stream.gauss() for _ in range(d)])
         lam = 0.8
-        grad_dist, _, _ = gradient_exchange([v[0] for v in views], [v[1] for v in views], r_inv, z, lam)
+        grad_dist, _, _ = gradient_exchange(
+            [v[0] for v in views], [v[1] for v in views], r_inv, z, lam, 0.0, np.zeros(d)
+        )
         sa_all = np.vstack(all_rows)
         sb_all = np.concatenate(all_rhs)
-        _, grad_mono = smoothed_objective_grad(sa_all, sb_all, r_inv, z, lam, 0.0, np.zeros(d))
+        res = sa_all @ (r_inv @ z) - sb_all
+        grad_mono = r_inv.T @ (sa_all.T @ huber_smooth_grad(res, lam))
         assert np.abs(grad_dist - grad_mono).max() < 1e-10
 
 
@@ -328,7 +334,7 @@ def test_linf_matches_enumeration_oracle():
         status, x_full, value = lp_exact_oracle(linf_lp_instance(inst))
         assert status == "SOLVED"
         assert out.value == x_full[inst.d]
-        assert linf_norm(inst.A, inst.b, out.x) == out.value
+        assert max(abs(dot(row, out.x) - b) for row, b in zip(inst.A, inst.b)) == out.value
 
 
 # -- lp embedding --------------------------------------------------------------

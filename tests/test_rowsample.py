@@ -1,4 +1,4 @@
-"""Leverage-score recursion, Lewis weights, and sampler constructors."""
+"""Leverage-score recursion, Lewis weights, and sampling plans and their draws."""
 
 import math
 from fractions import Fraction
@@ -9,12 +9,10 @@ import pytest
 from commopt.commsim import Network, run_protocol
 from commopt.config import DEFAULTS
 from commopt.exactnum import leverage_scores
-from commopt.instances import GenSpec, Instance, gen_random
+from commopt.instances import GenSpec, gen_random
 from commopt.rng import Stream
 from commopt.rowsample import (
     SamplingPlan,
-    apply_sampler,
-    build_sampler,
     leverage_protocol,
     leverage_scores_float,
     lewis_protocol,
@@ -130,11 +128,25 @@ def test_plan_values_are_power_of_two_rescales():
         assert (r & (r - 1)) == 0
 
 
+def identity_rows(n):
+    """Row i is e_i, so a drawn row names its index and its rescale."""
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def draws_as_pairs(plan, k, stream):
+    """(row index, rescale) of each draw of `plan.draw` on identity rows."""
+    pairs = []
+    for row in plan.draw(identity_rows(len(plan.values)), k, stream):
+        nonzero = [(j, v) for j, v in enumerate(row) if v]
+        assert len(nonzero) == 1  # one nonzero per row of S
+        pairs.append(nonzero[0])
+    return pairs
+
+
 def test_sampler_single_row_plan():
     plan = SamplingPlan((1.0,), "l2", 1)
-    rows = build_sampler(plan, Stream(0))
-    assert rows == [(0, 1)]
-    s_on = apply_sampler([(5, 7)], rows)
+    assert draws_as_pairs(plan, plan.N, Stream(0)) == [(0, 1)]
+    s_on = plan.draw([(5, 7)], plan.N, Stream(0))
     assert s_on == [(5, 7)]
 
 
@@ -145,9 +157,8 @@ def test_sampler_uniform_expectation_identity():
     acc = np.zeros((n, n))
     draws = 10_000
     for _ in range(draws):
-        for idx, scale in build_sampler(plan, stream):
-            e = np.zeros(n)
-            e[idx] = scale
+        for row in plan.draw(identity_rows(n), plan.N, stream):
+            e = np.array(row, dtype=float)
             acc += np.outer(e, e)
     mean = acc / draws
     assert np.abs(mean - np.eye(n)).max() < 0.05
@@ -158,7 +169,7 @@ def test_sampler_degenerate_l1_plan():
     stream = Stream(5).split("deg")
     y = (Fraction(3), Fraction(-9))
     for _ in range(50):
-        sampler = build_sampler(plan, stream)
+        sampler = draws_as_pairs(plan, plan.N, stream)
         assert all(idx == 0 for idx, _ in sampler)
         total = sum(abs(y[idx]) * scale for idx, scale in sampler)
         assert total == abs(y[0])
@@ -166,7 +177,7 @@ def test_sampler_degenerate_l1_plan():
 
 def test_sampler_one_nonzero_per_row():
     plan = make_plan([0.4, 0.6, 1.0], 2.0, "l2")
-    sampler = build_sampler(plan, Stream(3))
+    sampler = draws_as_pairs(plan, plan.N, Stream(3))
     assert len(sampler) == plan.N
     for idx, scale in sampler:
         assert 0 <= idx < 3 and scale >= 1
@@ -182,8 +193,7 @@ def test_l2_subspace_embedding_sandwich():
         tau = leverage_scores_float(rows, rows)
         target = 20.0 * math.log2(d + 1) * 4.0 * d  # C tau log d eps^-2 mass
         plan = make_plan(list(tau), target, "l2")
-        sampler = build_sampler(plan, stream.split("s", t))
-        sa = np.array([[v * scale for v in rows[idx]] for idx, scale in sampler], dtype=float)
+        sa = np.array(plan.draw(rows, plan.N, stream.split("s", t)), dtype=float)
         ok = True
         for _ in range(100):
             x = np.array([stream.gauss() for _ in range(d)])
