@@ -50,8 +50,9 @@ class Instance:
     def server_aug_rows(self, sid: int) -> list[tuple]:
         return [tuple(self.A[i]) + (self.b[i],) for i in self.rows_of(sid)]
 
-    def repartitioned(self, s: int, policy: str = "round-robin", stream: Stream | None = None) -> "Instance":
-        part = make_partition(self.n, s, policy, stream)
+    def repartitioned(self, s: int) -> "Instance":
+        """The same rows dealt round-robin to s servers."""
+        part = make_partition(self.n, s, "round-robin")
         return replace(self, s=s, partition=tuple(part))
 
 
@@ -94,14 +95,14 @@ def gen_random(spec: GenSpec) -> Instance:
 
     b: tuple | None = None
     c: tuple | None = None
-    L_eff = spec.L
+    L = spec.L
     if spec.kind in ("linsys", "linsys-feasible", "regression"):
         if spec.kind != "regression" and spec.feasible:
             x0 = [stream.randint(-bound, bound) for _ in range(spec.d)]
             b = tuple(sum(a * x for a, x in zip(row, x0)) for row in A)
         else:
             b = tuple(stream.randint(-bound, bound) for _ in range(spec.n))
-        L_eff = max(spec.L, max((abs(v).bit_length() for v in b), default=1))
+        L = max(spec.L, max((abs(v).bit_length() for v in b), default=1))
     elif spec.kind == "lp":
         # Feasible at the origin, kept bounded by appended box rows.
         if spec.feasible:
@@ -127,7 +128,7 @@ def gen_random(spec: GenSpec) -> Instance:
     else:
         raise ValueError(f"unknown instance kind {spec.kind!r}")
 
-    return Instance(spec.kind, spec.n, spec.d, L_eff, spec.s, tuple(A), b, c, tuple(part))
+    return Instance(spec.kind, spec.n, spec.d, L, spec.s, tuple(A), b, c, tuple(part))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +182,10 @@ def gen_lp_hard_d2(u: int, sets: list[set[int]], L: int) -> Instance:
         rhs.append(beta)
         part.append(s)
 
-    L_eff = max(abs(v).bit_length() for row in rows for v in row)
-    L_eff = max(L_eff, max(abs(v).bit_length() for v in rhs))
+    L_data = max(abs(v).bit_length() for row in rows for v in row)
+    L_data = max(L_data, max(abs(v).bit_length() for v in rhs))
     return Instance(
-        "lp-hard-d2", len(rows), 2, L_eff, s, tuple(rows), tuple(rhs), (0, 0), tuple(part)
+        "lp-hard-d2", len(rows), 2, L_data, s, tuple(rows), tuple(rhs), (0, 0), tuple(part)
     )
 
 

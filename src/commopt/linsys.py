@@ -26,8 +26,9 @@ from .instances import Instance
 from .rng import Stream
 
 
-def prime_range_hi(d: int, L: int, cfg: Constants) -> int:
-    return (cfg.prime_base * d * max(L, 1)) ** cfg.prime_exp
+def prime_range_hi(d: int, L: int) -> int:
+    """Prime range for mod-p hashing: primes are drawn from [2, (64 d max(L,1))^2]."""
+    return (64 * d * max(L, 1)) ** 2
 
 
 def det_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> ProtocolOutcome:
@@ -58,7 +59,7 @@ def rand_feasibility(
 ) -> ProtocolOutcome:
     """Feasibility testing over F_p for one random prime p."""
     d = instance.d
-    hi = prime_range_hi(d, instance.L, cfg)
+    hi = prime_range_hi(d, instance.L)
     p = random_prime(hi, stream.split("prime"))
     net.to_all_servers("prime", p)
 
@@ -97,7 +98,7 @@ def rand_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants)
     L + bitlen(p) + bitlen(n_i) + 1 for a server holding n_i rows.
     """
     d = instance.d
-    hi = prime_range_hi(d, instance.L, cfg)
+    hi = prime_range_hi(d, instance.L)
     p = random_prime(hi, stream.split("prime"))
     net.to_all_servers("prime", p)
 

@@ -28,15 +28,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from .commsim import Network, ProtocolOutcome
-from .config import DEFAULTS, Constants
+from .config import Constants
 from .exactnum import INFEASIBLE, clear_denominators, dot, int_solve
 from .instances import Instance
 from .rng import Stream
 
 
 class SizeGuardError(RuntimeError):
-    """Raised when an exact computation would exceed its configured budget."""
+    """Raised when an exact computation would exceed its budget."""
 
 
 Halfspace = tuple[tuple, int | Fraction]  # (coefficients a, rhs beta) meaning a.x <= beta
@@ -82,6 +84,9 @@ def box_halfspaces(d: int, bound) -> list[Halfspace]:
 # ---------------------------------------------------------------------------
 # Reference solver: vertex enumeration
 # ---------------------------------------------------------------------------
+
+# Basis-enumeration oracle guard: C(n, d) must stay below this.
+ORACLE_GUARD = 10**6
 
 
 def _as_int(v) -> int:
@@ -141,9 +146,7 @@ def _enumerate_vertices(rows: list[Halfspace], c, guard: int):
     return dot(c, x), x
 
 
-def solve_lp_enumerate(
-    rows: list[Halfspace], c, L: int | None = None, cfg: Constants = DEFAULTS
-):
+def solve_lp_enumerate(rows: list[Halfspace], c, L: int | None = None):
     """Exact LP solve by basis enumeration.
 
     Returns (status, x, value) with status SOLVED / INFEASIBLE / UNBOUNDED.
@@ -155,23 +158,23 @@ def solve_lp_enumerate(
         L = effective_bitlength(rows, c)
     bound = cramer_bound(d, L) + 1
     boxed = rows + box_halfspaces(d, bound)
-    best = _enumerate_vertices(boxed, c, cfg.oracle_guard)
+    best = _enumerate_vertices(boxed, c, ORACLE_GUARD)
     if best is None:
         return INFEASIBLE, None, None
     value, x = best
     if any(abs(v) == bound for v in x):
         # Optimum touches the guard box: decide boundedness by recession check.
         rec_rows = [(a, 0) for a, _ in rows] + box_halfspaces(d, 1)
-        rec = _enumerate_vertices(rec_rows, c, cfg.oracle_guard)
+        rec = _enumerate_vertices(rec_rows, c, ORACLE_GUARD)
         if rec is not None and rec[0] > 0:
             return "UNBOUNDED", None, None
     return "SOLVED", tuple(x), value
 
 
-def lp_exact_oracle(inst: Instance, cfg: Constants = DEFAULTS):
+def lp_exact_oracle(inst: Instance):
     """Reference oracle on an LP instance; see solve_lp_enumerate."""
     c = inst.c if inst.c is not None else tuple([0] * inst.d)
-    return solve_lp_enumerate(instance_halfspaces(inst), [Fraction(v) for v in c], inst.L, cfg)
+    return solve_lp_enumerate(instance_halfspaces(inst), [Fraction(v) for v in c], inst.L)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +272,11 @@ def solve_lp(rows: list[Halfspace], c, stream: Stream | None = None, L: int | No
 # Clarkson's algorithm
 # ---------------------------------------------------------------------------
 
+# Clarkson iteration cap factor: cap = CLARKSON_CAP * d * log2(n+2).
+CLARKSON_CAP = 50
 
-def _distribute_objective(inst: Instance, net: Network, cfg: Constants):
+
+def _distribute_objective(inst: Instance, net: Network):
     if inst.c is not None:
         net.to_all_servers("objective", list(inst.c))
 
@@ -303,7 +309,7 @@ def clarkson(
     if n_total == 0:
         return ProtocolOutcome("SOLVED", x=tuple([Fraction(0)] * d), value=Fraction(0))
 
-    _distribute_objective(instance, net, cfg)
+    _distribute_objective(instance, net)
     # Multiplicities: one weight per (server, local row).
     mult = [[1] * len(rs) for rs in server_rows]
     sizes = [len(rs) for rs in server_rows]
@@ -311,7 +317,7 @@ def clarkson(
         net.to_coordinator(sid, "h-size", sizes[sid - 1])
 
     sample_target = 9 * d * d
-    cap = math.ceil(cfg.clarkson_cap * d * math.log2(n_total + 2))
+    cap = math.ceil(CLARKSON_CAP * d * math.log2(n_total + 2))
     take_all = n_total <= sample_target
     history = []
 
@@ -402,6 +408,9 @@ def clarkson(
 # Smoothed analysis
 # ---------------------------------------------------------------------------
 
+# Extra guard bits in the smoothed-Clarkson rounding grid delta.
+SMOOTHED_DELTA_SLACK = 40
+
 
 def trunc_to_grid(value: Fraction, grid: Fraction) -> Fraction:
     """Round to the nearest integer multiple of the grid, ties toward +inf."""
@@ -446,8 +455,8 @@ def perturb_lp_stream(base: Instance, sigma: float, t: int, stream: Stream) -> P
     return PerturbedLP(base, sigma, t, noise)
 
 
-def smoothed_delta(n: int, d: int, L: int, sigma: float, cfg: Constants) -> Fraction:
-    bits = 2 * L + math.ceil(math.log2(n * d)) + math.ceil(math.log2(1 / sigma)) + cfg.smoothed_delta_slack
+def smoothed_delta(n: int, d: int, L: int, sigma: float) -> Fraction:
+    bits = 2 * L + math.ceil(math.log2(n * d)) + math.ceil(math.log2(1 / sigma)) + SMOOTHED_DELTA_SLACK
     return Fraction(1, 1 << bits)
 
 
@@ -467,7 +476,7 @@ def smoothed_clarkson(
     optimum of the terminating iteration.
     """
     plp = perturb_lp_stream(instance, sigma, t, stream.split("smoothed-noise"))
-    delta = smoothed_delta(instance.n, instance.d, instance.L, sigma, cfg)
+    delta = smoothed_delta(instance.n, instance.d, instance.L, sigma)
     rows = plp.rows
     per_server = [
         [rows[i] for i in instance.rows_of(sid)] for sid in range(1, instance.s + 1)
@@ -490,6 +499,13 @@ def smoothed_clarkson(
 # Center of gravity
 # ---------------------------------------------------------------------------
 
+# Cutting-plane round budget factor: T = ceil(COG_C3 * d^2 * L * log2(d+2)).
+COG_C3 = 4
+# Hit-and-run samples per round (COG_SAMPLES_PER_D * d) and burn-in steps
+# before them (COG_BURNIN_PER_D2 * d^2).
+COG_SAMPLES_PER_D = 1000
+COG_BURNIN_PER_D2 = 8
+
 
 def center_of_gravity(
     instance: Instance,
@@ -504,8 +520,6 @@ def center_of_gravity(
     so centroid and covariance estimates are replicated for free; only the
     rounded direction of a violated constraint is ever broadcast.
     """
-    import numpy as np
-
     d = instance.d
     eps_round = 0.09 / d ** 1.5  # the rounding analysis needs it below 0.1 / d^1.5
     optimize = instance.c is not None and any(instance.c)
@@ -513,14 +527,15 @@ def center_of_gravity(
     L = max(instance.L, 1)
     box = float(min(cramer_bound(d, L) + 1, 10.0 ** 12))
     if rounds_cap is None:
-        rounds_cap = math.ceil(cfg.cog_c3 * d * d * L * math.log2(d + 2))
-    n_samples = cfg.cog_samples_per_d * d
-    burnin = cfg.cog_burnin_per_d2 * d * d
+        rounds_cap = math.ceil(COG_C3 * d * d * L * math.log2(d + 2))
+    n_samples = COG_SAMPLES_PER_D * d
+    burnin = COG_BURNIN_PER_D2 * d * d
 
-    _distribute_objective(instance, net, cfg)
+    _distribute_objective(instance, net)
 
-    # P as exact halfspaces; the float mirror drives the sampler.
-    polytope: list[Halfspace] = box_halfspaces(d, Fraction(box))
+    # P as float halfspaces normals @ x <= offsets; each cut appends one row.
+    normals = np.array([a for a, _ in box_halfspaces(d, 1)], dtype=float)
+    offsets = np.full(2 * d, box)
     rows_by_server = [
         [(np.array([float(v) for v in instance.A[i]]), float(instance.b[i])) for i in instance.rows_of(sid)]
         for sid in range(1, instance.s + 1)
@@ -535,8 +550,6 @@ def center_of_gravity(
 
     for rnd in range(1, rounds_cap + 1):
         net.mark_round()
-        normals = np.array([[float(v) for v in a] for a, _ in polytope])
-        offsets = np.array([float(b) for _, b in polytope])
         sampler = stream.split("hit-and-run", rnd)
         samples = np.empty((n_samples, d))
         x = chain.copy()
@@ -550,7 +563,7 @@ def center_of_gravity(
             au = normals @ u
             ax = normals @ x
             t_hi, t_lo = math.inf, -math.inf
-            for m in range(len(polytope)):
+            for m in range(len(offsets)):
                 slack = offsets[m] - ax[m]
                 if au[m] > 1e-300:
                     t_hi = min(t_hi, slack / au[m])
@@ -584,7 +597,7 @@ def center_of_gravity(
                     "FEASIBLE",
                     x=tuple(float(v) for v in z),
                     iterations=rnd,
-                    extra={"cut_survival": survival, "polytope": polytope},
+                    extra={"cut_survival": survival, "polytope": list(zip(normals.tolist(), offsets.tolist()))},
                 )
             val = float(c_vec @ z)
             if val > best_val:
@@ -610,23 +623,21 @@ def center_of_gravity(
 
         inside = samples @ cut_a <= cut_b
         survival.append(float(inside.mean()))
-        polytope.append(
-            (tuple(Fraction(float(v)) for v in cut_a), Fraction(float(cut_b)))
-        )
+        normals = np.vstack([normals, cut_a])
+        offsets = np.append(offsets, cut_b)
         if not (float(cut_a @ chain) <= cut_b):
             chain = z.copy()
 
+    extra = {"cut_survival": survival, "polytope": list(zip(normals.tolist(), offsets.tolist()))}
     if optimize and best_z is not None:
         return ProtocolOutcome(
             "SOLVED",
             x=tuple(float(v) for v in best_z),
             value=best_val,
             iterations=rounds_cap,
-            extra={"cut_survival": survival, "polytope": polytope},
+            extra=extra,
         )
-    return ProtocolOutcome(
-        "EMPTY", iterations=rounds_cap, extra={"cut_survival": survival, "polytope": polytope}
-    )
+    return ProtocolOutcome("EMPTY", iterations=rounds_cap, extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +662,7 @@ def seidel(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> 
     L = max(effective_bitlength(all_rows, c), 1)
     bound = Fraction(cramer_bound(d, L) + 1)
 
-    _distribute_objective(instance, net, cfg)
+    _distribute_objective(instance, net)
 
     order: list[int] = []
     for sid in range(1, instance.s + 1):
@@ -717,7 +728,7 @@ def seidel(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> 
 
 def lp_oracle_entry(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> ProtocolOutcome:
     """Ship everything to the coordinator and run the enumeration oracle."""
-    _distribute_objective(instance, net, cfg)
+    _distribute_objective(instance, net)
     net.gather("constraints", [instance.server_aug_rows(sid) for sid in range(1, instance.s + 1)])
-    status, x, value = lp_exact_oracle(instance, cfg)
+    status, x, value = lp_exact_oracle(instance)
     return ProtocolOutcome(status, x=x, value=value)

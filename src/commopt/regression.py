@@ -361,6 +361,9 @@ def l1_lewis(
 # Smoothed accelerated gradient descent for l1
 # ---------------------------------------------------------------------------
 
+# Smoothing stages of l1_agd: lambda halves from stage to stage.
+AGD_STAGES = 4
+
 
 def huber_smooth(t, lam: float) -> np.ndarray:
     """Elementwise Huber value: quadratic near zero, linear in the tails; C^1 at |t| = lam."""
@@ -517,14 +520,14 @@ def l1_agd(
     top_eig = float(np.linalg.eigvalsh(w_mat)[-1])
 
     lam_final = max(2.0 * delta / max(n_sampled, 1), 1e-12)
-    lam_start = lam_final * (2.0 ** (cfg.agd_stages - 1))
+    lam_start = lam_final * (2.0 ** (AGD_STAGES - 1))
     total_iters = math.ceil(cfg.agd_c2 * d / eps)
-    per_stage = max(1, math.ceil(total_iters / cfg.agd_stages))
+    per_stage = max(1, math.ceil(total_iters / AGD_STAGES))
 
     best_z = z.copy()
     best_sampled = warm_val
     stage_log = []
-    for stage in range(cfg.agd_stages):
+    for stage in range(AGD_STAGES):
         lam = lam_start / (2.0 ** stage)
         sigma = delta / max(theta, 1e-12) / (2.0 ** stage)
         beta = top_eig / lam + sigma
@@ -637,8 +640,6 @@ def lp_embed_reduce(
     eps: float,
     stream: Stream,
     cfg: Constants,
-    R: int | None = None,
-    force_identity: bool = False,
 ):
     """Reduce lp regression to one LP through exponential max-stability.
 
@@ -651,8 +652,7 @@ def lp_embed_reduce(
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     d = instance.d
-    if R is None:
-        R = math.ceil(cfg.sampling_c * d * math.log2((d + 2) / eps) / (eps * eps))
+    R = math.ceil(cfg.sampling_c * d * math.log2((d + 2) / eps) / (eps * eps))
     q = math.ceil(3 * math.log2(max(d / eps, 2.0)))
     grid = Fraction(1, 1 << q)
 
@@ -662,13 +662,10 @@ def lp_embed_reduce(
     for r_blk in range(R):
         for j in range(instance.n):
             owner = instance.partition[j]
-            if force_identity:
-                scale_int = 1 << q
-            else:
-                draw = stream.split("embed", r_blk, j)
-                e = max(draw.exponential(), 1e-300)
-                g = trunc_to_grid(Fraction(e ** (-1.0 / p)), grid)
-                scale_int = int(g / grid)
+            draw = stream.split("embed", r_blk, j)
+            e = max(draw.exponential(), 1e-300)
+            g = trunc_to_grid(Fraction(e ** (-1.0 / p)), grid)
+            scale_int = int(g / grid)
             if scale_int == 0:
                 scale_int = 1
             arow = [scale_int * v for v in instance.A[j]]
@@ -681,12 +678,11 @@ def lp_embed_reduce(
             rhs.append(-scale_int * instance.b[j])
             part.append(owner)
     c = tuple([0] * d + [-1] * R)
-    L_eff = max(abs(v).bit_length() for row in rows for v in row)
     lp = Instance(
         "lp-embed", len(rows), d + R, instance.L, instance.s,
         tuple(rows), tuple(rhs), c, tuple(part),
     )
-    return lp, {"R": R, "q": q, "L_eff": L_eff}
+    return lp, {"R": R, "q": q}
 
 
 def lp_regression(

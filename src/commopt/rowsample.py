@@ -21,6 +21,10 @@ from .instances import Instance
 from .rng import Stream
 
 MAX_RESCALE = 1 << 40
+# Leverage-score recursion bottoms out at LEVERAGE_C0 * d * ceil(log2(d+1)) rows.
+LEVERAGE_C0 = 4
+# Lewis-weight clamp floor exponent multiplier: B = LEWIS_C1 * L * ceil(log2(n*d)).
+LEWIS_C1 = 2
 
 
 def leverage_scores_float(a_rows, b_rows) -> np.ndarray:
@@ -150,7 +154,7 @@ def leverage_protocol(
     it, with the unsampled-row correction applied inside the recursion.
     """
     n = sum(len(v) for v in server_views)
-    threshold = cfg.leverage_c0 * d * max(1, math.ceil(math.log2(d + 1)))
+    threshold = LEVERAGE_C0 * d * max(1, math.ceil(math.log2(d + 1)))
     if n <= threshold:
         gathered = net.gather("base-rows", server_views)
         net.to_all_servers("base-rows", [list(r) for r in gathered])
@@ -225,7 +229,7 @@ def lewis_protocol(server_views, d: int, L: int, net: Network, stream: Stream, c
         for row in view:
             if not any(row):
                 raise ValueError("lewis weights need every row to have a nonzero entry")
-    floor_exp = cfg.lewis_c1 * max(L, 1) * max(1, math.ceil(math.log2(max(n * d, 2))))
+    floor_exp = LEWIS_C1 * max(L, 1) * max(1, math.ceil(math.log2(max(n * d, 2))))
     w_floor = max(2.0 ** -min(floor_exp, 1000), 5e-324)
 
     weights = [np.ones(len(view)) for view in server_views]

@@ -1,7 +1,7 @@
 """CLI surface: gen / run / bench, exit codes, CSV outputs."""
 
 import csv
-import io
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from commopt.cli import main
+from commopt.config import DEFAULTS, Constants
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -24,6 +25,13 @@ def run_cli(args):
         env={**os.environ, "PYTHONPATH": path},
     )
     return proc
+
+
+def test_every_constant_is_scaled_by_a_multiplier():
+    """Every Constants field is reachable from the --mult-c/-k/-r flags."""
+    scaled = DEFAULTS.with_multipliers(2, 2, 2)
+    for field in dataclasses.fields(Constants):
+        assert getattr(scaled, field.name) != getattr(DEFAULTS, field.name), field.name
 
 
 def test_gen_writes_file_with_hash(tmp_path):

@@ -1,6 +1,5 @@
 """Center-of-gravity cutting-plane protocol."""
 
-import math
 from fractions import Fraction
 
 from commopt.commsim import run_protocol

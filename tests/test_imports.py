@@ -1,12 +1,12 @@
-"""Every name a `commopt` module imports is used in that module."""
+"""Every name a `commopt` module or a test module imports is used in that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "commopt"
-MODULES = sorted(SRC.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "commopt").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

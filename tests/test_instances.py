@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from commopt.commsim import run_protocol
-from commopt.exactnum import dot
 from commopt.instances import (
     GenSpec,
     gen_lp_hard_d2,

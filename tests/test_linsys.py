@@ -1,7 +1,5 @@
 """Linear-system protocols against exact oracles."""
 
-from fractions import Fraction
-
 from commopt.commsim import run_protocol
 from commopt.exactnum import INFEASIBLE, is_prime
 from commopt.instances import GenSpec, Instance, gen_random

@@ -54,13 +54,13 @@ def test_oracle_unbounded():
 
 
 def test_oracle_guard_trips():
-    import commopt.config as config
-
+    # 400 rows plus 8 box rows at d=4: C(408, 4) ~ 1.1e9 exceeds ORACLE_GUARD,
+    # so the guard raises before any subset is solved.
     rows = [[1, 0, 0, 0]] * 400
     inst = lp_instance(rows, [1] * 400, [1, 0, 0, 0], [1] * 400)
-    small_guard = config.Constants(oracle_guard=10)
+    assert math.comb(408, 4) > lpsolve.ORACLE_GUARD
     with pytest.raises(SizeGuardError):
-        lp_exact_oracle(inst, small_guard)
+        lp_exact_oracle(inst)
 
 
 def _reference_enumerate(rows, c, guard):

@@ -374,7 +374,10 @@ def test_embed_exact_fit_zero_optimum():
     rows = [tuple(stream.randint(-4, 4) for _ in range(2)) for _ in range(8)]
     rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
     inst = reg_instance(rows, rhs, [(i % 2) + 1 for i in range(8)])
-    lp, info = lp_embed_reduce(inst, 4.0, 0.5, Stream(1).split("e"), DEFAULTS, R=2)
+    # c_mult = 0.004 gives R = ceil(0.08 * 2 * log2(8) / 0.25) = ceil(1.92) = 2.
+    cfg = DEFAULTS.with_multipliers(c_mult=0.004)
+    lp, info = lp_embed_reduce(inst, 4.0, 0.5, Stream(1).split("e"), cfg)
+    assert info["R"] == 2
     # x = x0 with every v_r = 0 is feasible, and v_r >= 0 always: optimum 0.
     from commopt.lpsolve import solve_lp, instance_halfspaces
 
@@ -383,9 +386,14 @@ def test_embed_exact_fit_zero_optimum():
     assert value == 0
 
 
-def test_embed_identity_collapses_to_linf():
+def test_embed_identity_collapses_to_linf(monkeypatch):
+    # Every exponential draw is 1, so every scale is exactly 2^q; c_mult =
+    # 0.002 gives R = ceil(0.96) = 1, a single l-infinity block.
+    monkeypatch.setattr(Stream, "exponential", lambda self: 1.0)
     inst = reg_instance([[1, 2], [3, -1]], [4, 5], [1, 2])
-    lp, info = lp_embed_reduce(inst, 4.0, 0.5, Stream(0), DEFAULTS, R=1, force_identity=True)
+    cfg = DEFAULTS.with_multipliers(c_mult=0.002)
+    lp, info = lp_embed_reduce(inst, 4.0, 0.5, Stream(0), cfg)
+    assert info["R"] == 1
     linf_lp = linf_lp_instance(inst)
     scale = 1 << info["q"]
     assert lp.n == linf_lp.n
