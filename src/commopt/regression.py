@@ -17,8 +17,10 @@ import numpy as np
 from .commsim import Network, ProtocolOutcome
 from .config import Constants
 from .exactnum import (
+    RowBasis,
     dot,
     gram,
+    int_solve,
     mat_vec,
     min_norm_least_squares,
     solve_normal,
@@ -145,7 +147,7 @@ def _coordinated_plans(per_server_scores, target: float, norm: str, net: Network
 
 
 # ---------------------------------------------------------------------------
-# Exact l1 minimization (descent over interpolation bases)
+# Exact l1 minimization (certified float basis, else descent over interpolation bases)
 # ---------------------------------------------------------------------------
 
 # Size guard of the exact l1 solver on n*d (rows before merging).
@@ -182,18 +184,76 @@ def _l1_descent_direction(g, zero_rows, weights, d):
     halfspaces += box_halfspaces(d + z, 1)[: 2 * d]  # |v_j| <= 1 for j < d
     c = [-Fraction(v) for v in g] + [-w for w in w_z]
     status, sol, value = solve_lp(halfspaces, c, None, L=8)
-    assert status == "SOLVED"
+    if status != "SOLVED":
+        raise RuntimeError(f"l1 direction LP ended {status}")
     return -value, list(sol[:d])
+
+
+def _l1_certified_optimum(rows, rhs, mult, d):
+    """Integer certificate for a unique minimizer of sum_i m_i |a_i.x - b_i|.
+
+    HiGHS solves the dual, max b.u subject to A^T u = 0 and |u_i| <= m_i, in
+    floats; minus its equality marginals guess x.  The d independent rows Z
+    of smallest guessed residual fix x = num / den exactly.  It is accepted
+    only if no other residual vanishes and A_Z^T u = -g, with g the signed
+    weighted sum of the other rows, has |u_k| < m_k.  Then for w = A_Z v the
+    one-sided derivative along any v != 0 is sum_k (m_k |w_k| - u_k w_k) > 0,
+    so x is the unique minimizer.  Returns (num, den, integer residuals
+    a_i.num - b_i.den), or None when the input is not all integers within
+    double range or the guess is not certified.
+    """
+    if any(type(v) is not int for row, b in zip(rows, rhs) for v in (*row, b)):
+        return None
+    from scipy.optimize import linprog
+
+    try:
+        a = np.array(rows, dtype=float)
+        b = np.array(rhs, dtype=float)
+    except OverflowError:  # entries beyond double range
+        return None
+    res = linprog(-b, A_eq=a.T, b_eq=np.zeros(d), bounds=[(-m, m) for m in mult], method="highs")
+    if res.status != 0:
+        return None
+    x_guess = -res.eqlin.marginals
+
+    basis = RowBasis()
+    z = []
+    for i in np.argsort(np.abs(a @ x_guess - b), kind="stable").tolist():
+        if basis.insert(rows[i]):
+            z.append(i)
+            if len(z) == d:
+                break
+    else:
+        return None
+    num, den = int_solve([rows[k] for k in z], [rhs[k] for k in z])
+    resid = [dot(row, num) - beta * den for row, beta in zip(rows, rhs)]
+    if resid.count(0) != d:
+        return None
+
+    g = [0] * d
+    for row, m, r in zip(rows, mult, resid):
+        if r:
+            sm = m if r > 0 else -m
+            g = [gj + sm * v for gj, v in zip(g, row)]
+    u_num, u_den = int_solve(transpose([rows[k] for k in z]), [-v for v in g])
+    if any(abs(u) >= mult[k] * u_den for u, k in zip(u_num, z)):
+        return None
+    return num, den, resid
 
 
 def l1_minimize_exact(rows, rhs):
     """Exact rational minimizer of ||Ax - b||_1.
 
-    Piecewise-linear descent: at each iterate an exact direction LP either
-    certifies optimality or produces a strictly descending direction, and an
-    exact weighted-median line search takes the step.  Duplicate rows are
-    merged by weight first, which both shrinks the work and removes the most
-    common source of degeneracy in sampled inputs.
+    Duplicate rows are merged by weight first, which both shrinks the work
+    and removes the most common source of degeneracy in sampled inputs.  On
+    integer inputs a float basis guess is tried next (`_l1_certified_optimum`):
+    its integer certificate proves the guessed vertex is the unique minimizer,
+    so it is the point the descent below would reach, and the value is
+    computed from it as the descent computes it.  HiGHS only decides which
+    path runs, never the answer.  Otherwise, piecewise-linear descent from
+    the l2 point: at each iterate an exact direction LP either certifies
+    optimality or produces a strictly descending direction, and an exact
+    weighted-median line search takes the step.
     """
     n_raw = len(rows)
     d = len(rows[0])
@@ -214,6 +274,12 @@ def l1_minimize_exact(rows, rhs):
     rhsF = [key[-1] for key in merged]
     mult = list(merged.values())
     n = len(rowsF)
+
+    certified = _l1_certified_optimum(rowsF, rhsF, mult, d)
+    if certified is not None:
+        num, den, resid = certified
+        value = Fraction(sum(m * abs(r) for m, r in zip(mult, resid)), den) + constant
+        return [Fraction(v, den) for v in num], value
 
     x = min_norm_least_squares(rowsF, rhsF)
 
@@ -248,7 +314,8 @@ def l1_minimize_exact(rows, rhs):
                 deriv += mult[i] * w[i]
             elif r < 0 or (r == 0 and w[i] < 0):
                 deriv -= mult[i] * w[i]
-        assert deriv < 0  # the direction LP guarantees strict descent
+        if deriv >= 0:  # the direction LP guarantees strict descent
+            raise RuntimeError("l1 direction LP returned a non-descending direction")
 
         events = sorted(
             (-(residuals[i]) / w[i], i)
@@ -261,7 +328,8 @@ def l1_minimize_exact(rows, rhs):
             if deriv >= 0:
                 t_star = t_i
                 break
-        assert t_star is not None, "l1 objective cannot be unbounded below"
+        if t_star is None:
+            raise RuntimeError("l1 objective cannot be unbounded below")
         x = [xi + t_star * vi for xi, vi in zip(x, v)]
 
     raise RuntimeError("l1 descent failed to converge")

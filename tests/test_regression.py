@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from commopt import regression
 from commopt.commsim import run_protocol
 from commopt.config import DEFAULTS
 from commopt.exactnum import dot
@@ -135,6 +138,92 @@ def test_l1_oracle_matches_slack_lp():
         status, _, value = solve_lp(halfspaces, c, stream.split("order", trial))
         assert status == "SOLVED"
         assert res.value == -value
+
+
+def l1_paths(rows, rhs):
+    """`l1_minimize_exact`'s answer, the descent's alone, and whether the certificate fired."""
+    helper = regression._l1_certified_optimum
+    fired = []
+
+    def spy(*args):
+        out = helper(*args)
+        fired.append(out is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regression, "_l1_certified_optimum", spy)
+        got = regression.l1_minimize_exact(rows, rhs)
+        mp.setattr(regression, "_l1_certified_optimum", lambda *args: None)
+        descent = regression.l1_minimize_exact(rows, rhs)
+    return got, descent, any(fired)
+
+
+@st.composite
+def l1_inputs(draw):
+    """Small l1 inputs rich in duplicate, tied and zero rows and exact fits.
+
+    At most seven nonzero rows keep the descent's kink subproblem within its
+    degeneracy guard, so both paths always return.
+    """
+    d = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=5))
+    rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+        rows.append(list(rows[i]))  # a duplicate, or a tie with another right-hand side
+        rhs.append(rhs[i] if draw(st.booleans()) else draw(entry))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(entry, min_size=d, max_size=d))
+        rhs = [dot(row, x0) for row in rows]  # exact fit
+    if draw(st.booleans()):
+        rows.append([0] * d)
+        rhs.append(draw(entry))
+    if draw(st.booleans()):
+        rhs = [Fraction(b, 2) for b in rhs]
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(l1_inputs())
+def test_l1_certificate_matches_descent(case):
+    rows, rhs = case
+    got, descent, certified = l1_paths(rows, rhs)
+    assert repr(got) == repr(descent)
+    if any(isinstance(b, Fraction) for b in rhs):
+        assert not certified  # rational inputs take the descent
+
+
+@pytest.mark.parametrize("rows,rhs,certified", [
+    ([[1], [1]], [0, 2], False),  # flat optimum: every x in [0, 2]
+    ([[1], [1], [1], [1]], [0, 0, 2, 2], False),  # even count of equal rows, merged
+    ([[1, 0], [1, 0], [0, 1]], [0, 2, 5], False),  # flat in the first coordinate
+    ([[1], [1], [1]], [0, 1, 5], True),  # weighted median
+    ([[1], [1], [1], [2]], [1, 1, 4, 1], True),  # duplicate rows merge to weight 2
+    ([[1, 0], [0, 1]], [3, 4], True),  # exact fit, n = d
+    ([[1, 0], [0, 1], [1, 1]], [3, 4, 7], False),  # exact fit, n > d
+    ([[0, 0], [1, 0], [0, 1], [0, 0]], [5, 3, 4, -2], True),  # zero rows
+    ([[1, 1], [2, 2]], [3, 1], False),  # rank below d
+    ([[1], [1], [1]], [Fraction(1, 2), 1, 5], False),  # rational input
+    ([[10**400], [1], [1]], [0, 1, 5], False),  # beyond double range
+])
+def test_l1_certificate_cases(rows, rhs, certified):
+    got, descent, fired = l1_paths(rows, rhs)
+    assert repr(got) == repr(descent)
+    assert fired == certified
+
+
+def test_l1_certificate_fires_on_generic_inputs():
+    stream = Stream(14).split("l1cert")
+    trials = 60
+    fired = 0
+    for t in range(trials):
+        d = 2 + t % 2
+        rows = [[stream.randint(-20, 20) for _ in range(d)] for _ in range(12)]
+        rhs = [stream.randint(-20, 20) for _ in range(12)]
+        got, descent, certified = l1_paths(rows, rhs)
+        assert repr(got) == repr(descent)
+        fired += certified
+    assert fired >= 0.8 * trials
 
 
 # -- l1 protocols -------------------------------------------------------------
