@@ -16,6 +16,7 @@ Cost conventions:
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -45,6 +46,7 @@ COORDINATOR = PartyId("coordinator")
 BROADCAST = PartyId("broadcast")
 
 
+@functools.cache
 def server(i: int) -> PartyId:
     return PartyId("server", i)
 
@@ -145,25 +147,25 @@ class Network:
 
     # -- primitives ----------------------------------------------------------
 
-    def to_coordinator(self, i: int, kind: str, payload, bits: int | None = None):
-        cost = self.payload_bits(payload) if bits is None else bits
+    def to_coordinator(self, i: int, kind: str, payload):
+        cost = self.payload_bits(payload)
         if self.mode == BLACKBOARD_MODE:
             self._log(server(i), BROADCAST, kind, payload, cost)
         else:
             self._log(server(i), COORDINATOR, kind, payload, cost)
         return payload
 
-    def to_server(self, i: int, kind: str, payload, bits: int | None = None):
-        cost = self.payload_bits(payload) if bits is None else bits
+    def to_server(self, i: int, kind: str, payload):
+        cost = self.payload_bits(payload)
         if self.mode == BLACKBOARD_MODE:
             self._log(COORDINATOR, BROADCAST, kind, payload, cost)
         else:
             self._log(COORDINATOR, server(i), kind, payload, cost)
         return payload
 
-    def to_all_servers(self, kind: str, payload, bits: int | None = None):
+    def to_all_servers(self, kind: str, payload):
         """Coordinator tells every server; one broadcast on a blackboard."""
-        cost = self.payload_bits(payload) if bits is None else bits
+        cost = self.payload_bits(payload)
         if self.mode == BLACKBOARD_MODE:
             self._log(COORDINATOR, BROADCAST, kind, payload, cost)
         else:
@@ -171,9 +173,9 @@ class Network:
                 self._log(COORDINATOR, server(j), kind, payload, cost)
         return payload
 
-    def server_broadcast(self, i: int, kind: str, payload, bits: int | None = None):
+    def server_broadcast(self, i: int, kind: str, payload):
         """Server tells everyone; relayed through the coordinator off-blackboard."""
-        cost = self.payload_bits(payload) if bits is None else bits
+        cost = self.payload_bits(payload)
         if self.mode == BLACKBOARD_MODE:
             self._log(server(i), BROADCAST, kind, payload, cost)
         else:
@@ -192,11 +194,11 @@ class Network:
                 stacked.extend(view)
         return stacked
 
-    def verdict(self, sender_index: int | None, kind: str, payload=None):
-        """1-bit termination or sync signal."""
+    def verdict(self, sender_index: int | None, kind: str):
+        """1-bit termination or sync signal: coordinator to all when `sender_index` is None."""
         if sender_index is None:
-            return self.to_all_servers(kind, payload, bits=1)
-        return self.to_coordinator(sender_index, kind, payload, bits=1)
+            return self.to_all_servers(kind, None)
+        return self.to_coordinator(sender_index, kind, None)
 
     def mark_round(self):
         self.transcript.rounds += 1

@@ -140,11 +140,6 @@ class RowBasis:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def copy(self) -> "RowBasis":
-        dup = RowBasis(self.p)
-        dup.pivots = dict(self.pivots)  # rows are replaced, never mutated
-        return dup
-
 
 class AugmentedBasis:
     """Row basis over augmented rows [a | beta] that tracks consistency.
@@ -195,11 +190,6 @@ class AugmentedBasis:
     @property
     def rank(self) -> int:
         return self.basis.rank
-
-    def copy(self) -> "AugmentedBasis":
-        dup = AugmentedBasis(self.d, self.basis.p)
-        dup.basis = self.basis.copy()
-        return dup
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +287,8 @@ def solve_normal(g: Sequence[Sequence], y: Sequence) -> list[Fraction]:
     m = [[dot(bi, gbj) for gbj in g_basis] for bi in basis]
     t = [dot(bi, y) for bi in basis]
     u = solve_exact(m, t)
-    assert u is not None
+    if u is None:
+        raise RuntimeError("restricted normal system is singular")
     x = [Fraction(0)] * len(g)
     for coeff, brow in zip(u, basis):
         for j, v in enumerate(brow):
@@ -464,6 +455,7 @@ def leverage_scores(matrix, base=None) -> list:
         z = solve_exact(g, row)
         # Row is in rowspace(B) = range(G), so the system is consistent and
         # any solution yields the same quadratic form value.
-        assert z is not None
+        if z is None:
+            raise RuntimeError("row inside rowspace(B) has no solution of G z = row")
         scores.append(dot(row, z))
     return scores

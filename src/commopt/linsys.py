@@ -37,11 +37,9 @@ def det_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants) 
     shared = AugmentedBasis(d)
     for sid in range(1, instance.s + 1):
         net.mark_round()
-        local = shared.copy()
-        rows = instance.server_aug_rows(sid)
         to_publish = []
-        for row in rows:
-            verdict = local.insert(row[:-1], row[-1])
+        for row in instance.server_aug_rows(sid):
+            verdict = shared.insert(row[:-1], row[-1])
             if verdict == "inconsistent":
                 net.verdict(sid, "infeasible")
                 return ProtocolOutcome(INFEASIBLE)
@@ -49,7 +47,6 @@ def det_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants) 
                 to_publish.append(row)
         for row in to_publish:
             net.server_broadcast(sid, "equation", list(row))
-            shared.insert(row[:-1], row[-1])
     x = shared.solution()
     return ProtocolOutcome("SOLVED", x=tuple(x), extra={"equations": shared.rank})
 
@@ -66,11 +63,10 @@ def rand_feasibility(
     shared = AugmentedBasis(d, p)
     for sid in range(1, instance.s + 1):
         net.mark_round()
-        local = shared.copy()
         to_publish = []
         for row in instance.server_aug_rows(sid):
             reduced = [int(v) % p for v in row]
-            verdict = local.insert(reduced[:-1], reduced[-1])
+            verdict = shared.insert(reduced[:-1], reduced[-1])
             if verdict == "inconsistent":
                 net.verdict(sid, "infeasible")
                 return ProtocolOutcome(INFEASIBLE, extra={"p": p})
@@ -78,7 +74,6 @@ def rand_feasibility(
                 to_publish.append(reduced)
         for row in to_publish:
             net.server_broadcast(sid, "equation-mod-p", row)
-            shared.insert(row[:-1], row[-1])
     net.verdict(None, "feasible")
     return ProtocolOutcome("FEASIBLE", extra={"p": p})
 
@@ -133,10 +128,10 @@ def rand_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants)
             net.to_coordinator(sid, "combo-mod-p", reduced)
             verdict_p, residue = shared_modp.classify(reduced[:-1], reduced[-1])
             if verdict_p == "dependent":
-                net.to_server(sid, "reject", None, bits=1)
+                net.to_server(sid, "reject", None)
                 continue
             # Screen passed: request the full-precision equation.
-            net.to_server(sid, "promote", None, bits=1)
+            net.to_server(sid, "promote", None)
             net.to_coordinator(sid, "equation", combo)
             full_sends += 1
             exact_verdict = shared.insert(combo[:-1], combo[-1])

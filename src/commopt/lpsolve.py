@@ -324,16 +324,12 @@ def clarkson(
     for iteration in range(1, cap + 1):
         net.mark_round()
         # -- sample R ------------------------------------------------------
-        sampled: list[Halfspace] = []
-        drawn: list[dict[int, int]] = [dict() for _ in range(instance.s)]
         if take_all:
-            for sid in range(1, instance.s + 1):
-                rows = server_rows[sid - 1]
-                if rows:
-                    net.to_coordinator(sid, "constraints", [list(a) + [b] for a, b in rows])
-                    sampled.extend(rows)
-                    drawn[sid - 1] = {i: 1 for i in range(len(rows))}
+            net.gather("constraints", [[(*a, b) for a, b in rows] for rows in server_rows])
+            sampled = [h for rows in server_rows for h in rows]
+            drawn = [dict.fromkeys(range(len(rows)), 1) for rows in server_rows]
         else:
+            sampled, drawn = [], [{} for _ in range(instance.s)]
             weights = [float(sum(m)) for m in mult]
             counts = stream.split("counts", iteration).multinomial(sample_target, weights)
             for sid in range(1, instance.s + 1):
@@ -351,10 +347,10 @@ def clarkson(
         # -- solve the subproblem -------------------------------------------
         status, x_r, _ = solve_lp(sampled, c, stream.split("solve", iteration), L)
         if status == INFEASIBLE:
-            net.to_all_servers("verdict", None, bits=1)
+            net.verdict(None, "verdict")
             return ProtocolOutcome(INFEASIBLE, iterations=iteration)
         if status == "UNBOUNDED":
-            net.to_all_servers("verdict", None, bits=1)
+            net.verdict(None, "verdict")
             return ProtocolOutcome("UNBOUNDED", iterations=iteration)
 
         if solution_encoder is None:

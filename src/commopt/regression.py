@@ -494,6 +494,10 @@ def l1_agd(
 ) -> ProtocolOutcome:
     """Lewis sample, precondition, then smoothed accelerated gradient descent.
 
+    The preconditioner R is the Cholesky factor of the exact sampled Gram
+    (SA)^T(SA), which the warm start already sums and broadcasts, so every
+    party builds the same R without another message.
+
     Communication per iteration is the two-branch exchange: signed row sums
     for saturated residuals and Gram pieces for the quadratic branch, plus
     one scalar of objective telemetry per server for the monotone safeguard.
@@ -531,21 +535,18 @@ def l1_agd(
     sb_views = [[r[-1] for r in view] for view in sampled_views]
     n_sampled = sum(len(v) for v in sa_views)
 
-    # -- Precondition: leverage-reduce SA, factor its Gram matrix. -----------
-    tilde, _ = leverage_protocol(sa_views, d, net, stream.split("reduce"), cfg)
-    g_tilde = np.asarray(gram(tilde), dtype=float) if tilde else np.eye(d)
-    try:
-        r_factor = np.linalg.cholesky(g_tilde + 1e-12 * np.eye(d)).T
-    except np.linalg.LinAlgError:
-        _, r_factor = np.linalg.qr(np.asarray(tilde, dtype=float))
-    r_inv = np.linalg.inv(r_factor)
-
     # -- Warm start: exact l2 on the sampled system. -------------------------
     g_sum, y_sum = _gram_round(net, d, sa_views, sb_views)
     x0_exact = solve_normal(g_sum, y_sum)
     x0 = np.array([float(v) for v in x0_exact])
     net.to_all_servers("warm-start", [float(v) for v in x0])
     net.to_all_servers("gram-total", [[int(v) for v in row] for row in g_sum])
+
+    # -- Precondition: every party factors the broadcast Gram (SA)^T(SA).  The
+    # shift scales with the trace so a rank-deficient Gram still factors.
+    g = np.asarray(g_sum, dtype=float)
+    r_factor = np.linalg.cholesky(g + 1e-12 * (1.0 + np.trace(g)) * np.eye(d)).T
+    r_inv = np.linalg.inv(r_factor)
 
     sa_float = [np.asarray(v, dtype=float) if v else np.zeros((0, d)) for v in sa_views]
     sb_float = [np.asarray(v, dtype=float) if v else np.zeros(0) for v in sb_views]
@@ -584,7 +585,7 @@ def l1_agd(
     theta = (d / max(n_sampled, d)) * opt_est * opt_est
     z0 = r_factor @ x0
     z = z0.copy()
-    w_mat = r_inv.T @ np.asarray([[float(v) for v in row] for row in g_sum]) @ r_inv
+    w_mat = r_inv.T @ g @ r_inv
     top_eig = float(np.linalg.eigvalsh(w_mat)[-1])
 
     lam_final = max(2.0 * delta / max(n_sampled, 1), 1e-12)

@@ -468,7 +468,7 @@ DETERMINISM_DIGESTS = {
     "l2-sampled": "78c19fed4ef5d9c4c2bb48034446d645797ec4f9a6db3f8baa15452cd6de9841",
     "l1-simple": "cfe81d0a25d542978ae65ac0431842add9cad41befe70d5c86e722016c9b8738",
     "l1-lewis": "a7e12e9728e4cf2b3f3deb291c0fdd21b3daec83d5b7e941c54857e772c4c3a8",
-    "l1-agd": "7cfc0fbd2eaaf8f87a3195d3498d4ecf3d194672e1994f44e387c2d34458b2b3",
+    "l1-agd": "83a1e26a50dd110469d0d5f033689b289772208128fed2d2f3d25d32740b7a94",
     "linf": "4685af4c3e3efb2982fc9e77a04ac8472d070f4e679c5846065efca5d93090dd",
     "lp-embed": "96c9c4c15f914426f1edbecc37330d6da5c11440c843dab2dce3cb20d387cea6",
     "lp-clarkson": "7fbb6cf32d775e34b80856015ecb6ea7b56e552c5045a4e7a54626dae4a17446",

@@ -1,5 +1,6 @@
 """Regression protocols: exact paths, sampled paths, AGD, and the lp embedding."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -382,6 +383,20 @@ def test_l1_agd_near_optimal_on_sample():
         assert achieved >= float(oracle.value) - 1e-9
         good += achieved <= 1.25 * float(oracle.value) + 1e-9
     assert good >= 0.8 * runs
+
+
+@pytest.mark.parametrize("L", [6, 12, 20])
+def test_l1_agd_rank_deficient_gram(L):
+    # The third column is c0 - 2 c1, so the sampled Gram is singular; the
+    # preconditioner's trace-scaled shift must still factor it at every scale.
+    for seed in range(2):
+        inst = gen_random(GenSpec("regression", n=200, d=3, L=L, s=4, seed=seed))
+        inst = dataclasses.replace(inst, A=tuple((a, b, a - 2 * b) for a, b, _ in inst.A))
+        out, _ = run_protocol("l1-agd", inst, seed=seed, eps=0.25)
+        assert out.status == "SOLVED"
+        sampled = [r for view in out.extra["sampled_views"] for r in view]
+        oracle = l1_exact_oracle([r[:-1] for r in sampled], [r[-1] for r in sampled])
+        assert out.extra["sampled_value"] <= 1.25 * float(oracle.value) + 1e-9
 
 
 def test_l1_agd_guards_inexact_float_aggregates():
