@@ -358,16 +358,6 @@ def int_det(matrix) -> int:
     return _bareiss(rows, len(rows))
 
 
-def rank_mod_p(matrix, p: int) -> int:
-    """Rank over F_p of an integer matrix."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    basis = RowBasis(p)
-    for row in matrix:
-        basis.insert(row)
-    return basis.rank
-
-
 # ---------------------------------------------------------------------------
 # Primality
 # ---------------------------------------------------------------------------

@@ -94,16 +94,21 @@ def _value_round(instance: Instance, net: Network, x, kind: str, term) -> Fracti
 
 
 def l2_exact(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> ProtocolOutcome:
-    """Each server ships its Gram matrix and A^T b; the coordinator solves."""
+    """Each server ships its Gram matrix, A^T b and b^T b; the coordinator solves.
+
+    Every x with G x = A^T b, the minimum-norm one of a singular G included,
+    has ||Ax - b||^2 = b^T b - x.A^T b, so the exact value needs no second round.
+    """
     servers = range(1, instance.s + 1)
+    server_rhs = [[instance.b[i] for i in instance.rows_of(sid)] for sid in servers]
     g_sum, y_sum = _gram_round(
-        net,
-        instance.d,
-        [instance.server_rows(sid) for sid in servers],
-        [[instance.b[i] for i in instance.rows_of(sid)] for sid in servers],
+        net, instance.d, [instance.server_rows(sid) for sid in servers], server_rhs
+    )
+    btb = sum(
+        net.to_coordinator(sid, "btb", dot(rhs, rhs)) for sid, rhs in zip(servers, server_rhs)
     )
     x = solve_normal(g_sum, y_sum)
-    value = math.sqrt(float(_value_round(instance, net, x, "residual-sq", lambda r: r * r)))
+    value = math.sqrt(float(btb - dot(x, y_sum)))
     return ProtocolOutcome("SOLVED", x=tuple(x), value=value, extra={"method": "l2-exact"})
 
 
@@ -712,9 +717,10 @@ def lp_embed_reduce(
 ):
     """Reduce lp regression to one LP through exponential max-stability.
 
-    Each server draws the diagonal scalings for its own rows; entries are
-    rounded onto a 2^-q grid and the grid is cleared, so the emitted LP has
-    integer data.  Variables are (x, v_1 .. v_R); objective minimizes sum v.
+    Row j in block r is scaled by a draw of `stream.split("embed", r, j)`;
+    scales are rounded onto a 2^-q grid and the grid is cleared, so the LP
+    has integer data.  Variables are (x, v_1 .. v_R); the LP minimizes sum v
+    subject to rows . (x, v) <= rhs.  Returns (rows, rhs, {"R": R, "q": q}).
     """
     if p <= 2:
         raise ValueError("embedding needs p > 2")
@@ -727,31 +733,17 @@ def lp_embed_reduce(
 
     rows = []
     rhs = []
-    part = []
     for r_blk in range(R):
+        vcoef = tuple(-(1 << q) if k == r_blk else 0 for k in range(R))
         for j in range(instance.n):
-            owner = instance.partition[j]
-            draw = stream.split("embed", r_blk, j)
-            e = max(draw.exponential(), 1e-300)
-            g = trunc_to_grid(Fraction(e ** (-1.0 / p)), grid)
-            scale_int = int(g / grid)
-            if scale_int == 0:
-                scale_int = 1
-            arow = [scale_int * v for v in instance.A[j]]
-            vcoef = [0] * R
-            vcoef[r_blk] = -(1 << q)
-            rows.append(tuple(arow) + tuple(vcoef))
+            e = max(stream.split("embed", r_blk, j).exponential(), 1e-300)
+            scale_int = int(trunc_to_grid(Fraction(e ** (-1.0 / p)), grid) / grid) or 1
+            arow = tuple(scale_int * v for v in instance.A[j])
+            rows.append(arow + vcoef)
             rhs.append(scale_int * instance.b[j])
-            part.append(owner)
-            rows.append(tuple(-v for v in arow) + tuple(vcoef))
+            rows.append(tuple(-v for v in arow) + vcoef)
             rhs.append(-scale_int * instance.b[j])
-            part.append(owner)
-    c = tuple([0] * d + [-1] * R)
-    lp = Instance(
-        "lp-embed", len(rows), d + R, instance.L, instance.s,
-        tuple(rows), tuple(rhs), c, tuple(part),
-    )
-    return lp, {"R": R, "q": q}
+    return rows, rhs, {"R": R, "q": q}
 
 
 def lp_regression(
@@ -762,33 +754,35 @@ def lp_regression(
     p: float = 4.0,
     eps: float = 0.5,
 ) -> ProtocolOutcome:
-    """Embed into a sum of l-infinity blocks, solve the LP, report ||Ax-b||_p.
+    """Gather the input, embed it into a sum of l-infinity blocks, solve, report ||Ax-b||_p.
 
-    The assembled LP has d + R variables, with R >= 32 at the default
-    sampling constant, so the coordinator solves it in floats (HiGHS).
+    The max-stability embedding (Woodruff & Zhang, COLT 2013) saves
+    communication only when the l-infinity LP is solved by a protocol whose
+    cost does not grow with n.  There is none here, so the servers send
+    their rows once and the coordinator replays the shared-randomness
+    scalings itself.  The LP has d + R variables, with R >= 32 at the
+    default sampling constant, so the coordinator solves it in floats (HiGHS).
     """
-    lp, info = lp_embed_reduce(instance, p, eps, stream.split("embed"), cfg)
-    net.gather("constraints", [lp.server_aug_rows(sid) for sid in range(1, lp.s + 1)])
+    views = [instance.server_aug_rows(sid) for sid in range(1, instance.s + 1)]
+    net.gather("rows", views)
+    rows, rhs, info = lp_embed_reduce(instance, p, eps, stream.split("embed"), cfg)
 
     from scipy.optimize import linprog
 
-    a_ub = np.array([[float(v) for v in row] for row in lp.A])
-    b_ub = np.array([float(v) for v in lp.b])
+    a_ub = np.array([[float(v) for v in row] for row in rows])
+    b_ub = np.array([float(v) for v in rhs])
     cost = np.array([0.0] * instance.d + [1.0] * info["R"])
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
     if not res.success:
         return ProtocolOutcome("EMPTY", extra={"solver": res.message})
     x = [float(v) for v in res.x[: instance.d]]
 
-    net.to_all_servers("solution", [float(v) for v in x])
     total = 0.0
-    for sid in range(1, instance.s + 1):
-        local = sum(
-            abs(float(sum(a * v for a, v in zip(instance.A[i], x))) - float(instance.b[i])) ** p
-            for i in instance.rows_of(sid)
+    for view in views:  # summed server by server
+        total += sum(
+            abs(float(sum(a * v for a, v in zip(row[:-1], x))) - float(row[-1])) ** p
+            for row in view
         )
-        net.to_coordinator(sid, "residual-lp", float(local))
-        total += local
     return ProtocolOutcome(
         "SOLVED", x=tuple(x), value=total ** (1.0 / p), extra=info
     )

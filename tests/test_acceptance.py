@@ -457,25 +457,71 @@ DETERMINISM_SET = [
     ("lp-oracle", GenSpec("lp", n=12, d=2, L=6, s=2, seed=15), {}),
 ]
 
-# sha256 of signature() + transcript CSV for each triple above.  Any drift is
-# a behaviour change that must be explained; the float-path digests assume
-# the platform's BLAS/libm stay the same.
+# (sha256 of signature(), sha256 of the transcript CSV) for each triple
+# above.  Any drift is a behaviour change that must be explained; a protocol
+# that only moves its messages keeps its signature digest.  The float-path
+# digests assume the platform's BLAS/libm stay the same.
 DETERMINISM_DIGESTS = {
-    "linsys-det": "93375c0f6a76eb411a2e6c178f7bfc16c4ddcd285eead96fdac8df36504f1a8b",
-    "linsys-feas-rand": "56c70de5e288bd5aa8b4b9188f10236ef7417f57cecc747c631b73f688006c4c",
-    "linsys-solve-rand": "baedd8e8eb7b9f42a7394892afacd4db02886d318f5c1cbc00a95b0f6d8b0492",
-    "l2-exact": "a94248cad8520dc1a861558b4c9ca59b6899864ff16df6ad3cc6c8db253100e0",
-    "l2-sampled": "78c19fed4ef5d9c4c2bb48034446d645797ec4f9a6db3f8baa15452cd6de9841",
-    "l1-simple": "cfe81d0a25d542978ae65ac0431842add9cad41befe70d5c86e722016c9b8738",
-    "l1-lewis": "a7e12e9728e4cf2b3f3deb291c0fdd21b3daec83d5b7e941c54857e772c4c3a8",
-    "l1-agd": "83a1e26a50dd110469d0d5f033689b289772208128fed2d2f3d25d32740b7a94",
-    "linf": "4685af4c3e3efb2982fc9e77a04ac8472d070f4e679c5846065efca5d93090dd",
-    "lp-embed": "96c9c4c15f914426f1edbecc37330d6da5c11440c843dab2dce3cb20d387cea6",
-    "lp-clarkson": "7fbb6cf32d775e34b80856015ecb6ea7b56e552c5045a4e7a54626dae4a17446",
-    "lp-smoothed": "46a0e8079b14010afdec6024d9ed21fc132d85b3698d2570c102fdf79c07e167",
-    "lp-cog": "11897af7f64076f560bcae3d9c34bb6a1eda36249dbed78286479966b9b0af21",
-    "lp-seidel": "fb175bcb476ff3e411678b25c0d1e97379dfc1a774302631aa8ca30e522aa13f",
-    "lp-oracle": "eba7d5e082d01a460365261a1f162ee3a02fe58b5947830063e96ccf7b27141e",
+    "linsys-det": (
+        "99bb34bcb288c08abe89ccf46dd85dccd2adc3b30fcfafe4cc8891ce9639fc71",
+        "34f2325256cb8084bad9f5dd90ae0965e827803fed7324f8ee8a1080da0eccb3",
+    ),
+    "linsys-feas-rand": (
+        "bf655028bef8541c04eabfe85c5956762333b2e05919c6c01aaa7f9e2cc0c969",
+        "827641b5e5e968b8da33222d4816d9dd39b623474672f0714cb5c57146300e64",
+    ),
+    "linsys-solve-rand": (
+        "630612272b19e51cbe88bec08fb888b949ba53cc16e2c12db82a41986135ac24",
+        "00ad7c1be242b2888355177dd3fc215474da932544c3d17de35e662ece5d2e12",
+    ),
+    "l2-exact": (
+        "7dded61689da1dc24018dac11449e66ab358fcd7d85efaf7a3a303d31f63dadc",
+        "a0314083c957ad30f13cc4a4eecacc04fa294cc5099a73c955c38e0042f3574e",
+    ),
+    "l2-sampled": (
+        "22d0adae9b55c4e516763be627ff629ac3519a7eac0e68658d2b68263a5f0c7a",
+        "ef0690e1bd67ca60349423e216b214c795c199ab632685b2dbeda595da752a4a",
+    ),
+    "l1-simple": (
+        "fad2de501f581b65871edef33b21d4aefaf1c24df509d4553476b828fd505673",
+        "02f7f831532feb94c5f94c7eb6ab5f555769f147e52637c24e5b7adc36d2bafc",
+    ),
+    "l1-lewis": (
+        "c846be57c781bd5c0953ca7fc8e942b9ee411b73c60fc5824788bb90da5e5943",
+        "da1803909fe6a2966ff5fc22751b8b1d9d6b8971238fa7487431476dc71fd782",
+    ),
+    "l1-agd": (
+        "214d4504c2ced325077507484bf018d190358c25f72dd68a23fd5f288a1557c8",
+        "fd427c446ebbcd51755c54980013bfc0507ba615ecea4d9661da7e3a00e5a1a0",
+    ),
+    "linf": (
+        "4599405c6858c6e2fd106e81407db5a634fcfeb4fb4da02e04a465a66d532dc4",
+        "47f33802cd11767597c61fcfd1cf86f44ea8e0e7df93f35dd7cda11a839fe9f5",
+    ),
+    "lp-embed": (
+        "c00b7569aac9158b75c9057e191d49b069aaf3a56c4e0f5d873f076e82ef1567",
+        "764152bcb5220e393c22b3b219fc12b9c73ec1a7a6303660c6d6760d6fc31662",
+    ),
+    "lp-clarkson": (
+        "8edc9809430d8cbae654aeeb4e8528a46d18684317041d86c6bed38ddbd88c67",
+        "005d71853eb5d88b051dba5fdb9f60d1fe3be32a2cbf75b6b009813f27353c7d",
+    ),
+    "lp-smoothed": (
+        "516f356c55597742a24bceaea1063750575fdce376bbcc132ce077ff53da7abe",
+        "f25c8dbeb1656bcaa123155843b324aa111369d248e249491642314377533a82",
+    ),
+    "lp-cog": (
+        "b8a2d39f7e80814a6da37e793e45e706344739f6fdfce0544cf77e88cdd2c008",
+        "7afe35d0be67dccc783b650323f5806794efc447c8ad7a099fafde9443408eff",
+    ),
+    "lp-seidel": (
+        "7d211644a84e7a9e18d2400f495b235cb317c69b69253a874869c61af938cba6",
+        "97286ac36208c0c2a8373e09535b56497339d00bd4a3ac2b9bf40094f4087445",
+    ),
+    "lp-oracle": (
+        "7861c70441d6891da53818959c927d7a206c6143e8e1852a896de95e5258f776",
+        "db6f1f82d27ed885e375964e97a8aba976d3d4a31360e1b498dd66042a1e6e9b",
+    ),
 }
 
 
@@ -498,5 +544,7 @@ def test_criterion_11_determinism():
 )
 def test_determinism_set_digest(name, spec, params):
     out, transcript = run_protocol(name, gen_random(spec), seed=99, **params)
-    digest = hashlib.sha256((out.signature() + transcript.to_csv()).encode()).hexdigest()
-    assert digest == DETERMINISM_DIGESTS[name]
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest() for text in (out.signature(), transcript.to_csv())
+    )
+    assert digests == DETERMINISM_DIGESTS[name]

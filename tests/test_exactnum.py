@@ -12,6 +12,7 @@ from commopt.exactnum import (
     INFINITY,
     AugmentedBasis,
     DimensionError,
+    RowBasis,
     dot,
     gram,
     int_det,
@@ -21,7 +22,6 @@ from commopt.exactnum import (
     mat_vec,
     min_norm_least_squares,
     rank_and_solve,
-    rank_mod_p,
     random_prime,
     solve_exact,
     transpose,
@@ -187,6 +187,14 @@ def test_min_norm_least_squares_matches_reference(system):
     assert repr(min_norm_least_squares(a, b)) == repr(expected)
 
 
+def _rowbasis_rank(rows, p: int) -> int:
+    """Rank over F_p as the protocols reach it, through `RowBasis(p)`."""
+    basis = RowBasis(p)
+    for row in rows:
+        basis.insert(row)
+    return basis.rank
+
+
 def _prime_above(bound: int) -> int:
     p = bound + 1
     while not is_prime(p):
@@ -205,15 +213,13 @@ def test_rank_mod_p_equals_rational_rank_above_hadamard_bound(system):
         den = math.lcm(*(Fraction(v).denominator for v in row))
         rows.append([int(v * den) for v in row])
     hadamard = math.prod(math.isqrt(sum(v * v for v in row)) + 1 for row in rows)
-    assert rank_mod_p(rows, _prime_above(hadamard)) == rank_and_solve(a)[0]
+    assert _rowbasis_rank(rows, _prime_above(hadamard)) == rank_and_solve(a)[0]
 
 
 def test_rank_mod_p():
-    assert rank_mod_p([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 5) == 3
-    assert rank_mod_p([[5]], 5) == 0
-    assert rank_mod_p([[2, 4], [1, 2]], 3) == 1
-    with pytest.raises(ValueError):
-        rank_mod_p([[1]], 6)
+    assert _rowbasis_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 5) == 3
+    assert _rowbasis_rank([[5]], 5) == 0
+    assert _rowbasis_rank([[2, 4], [1, 2]], 3) == 1
 
 
 def test_rank_mod_p_never_exceeds_rational_rank():
@@ -226,7 +232,7 @@ def test_rank_mod_p_never_exceeds_rational_rank():
         m = [[stream.randint(-(1 << L), 1 << L) for _ in range(d)] for _ in range(d)]
         p = random_prime(hi, stream)
         r_q, _, _ = rank_and_solve(m)
-        r_p = rank_mod_p(m, p)
+        r_p = _rowbasis_rank(m, p)
         assert r_p <= r_q
         agree += r_p == r_q
     assert agree >= 95

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commopt import regression
-from commopt.commsim import run_protocol
+from commopt.commsim import MODES, Network, run_protocol, server
 from commopt.config import DEFAULTS
 from commopt.exactnum import dot
 from commopt.instances import GenSpec, Instance, gen_random
@@ -20,6 +20,7 @@ from commopt.regression import (
     huber_smooth,
     inv_exp_moment,
     l1_exact_oracle,
+    l2_sq_norm,
     linf_lp_instance,
     lp_embed_reduce,
     smoothed_value,
@@ -61,6 +62,33 @@ def test_l2_exact_overdetermined():
     inst = reg_instance([[1, 0], [0, 1], [1, 1]], [1, 1, 0], [1, 1, 2])
     out, _ = run_protocol("l2-exact", inst)
     assert out.x == (Fraction(1, 3), Fraction(1, 3))
+
+
+@st.composite
+def l2_runs(draw):
+    """Small integer instances, some with a dependent column or idle servers, and a mode."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=n, max_size=n))
+    if d > 1 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        rows = [row[:-1] + [k * row[0]] for row in rows]  # G = A^T A is singular
+    rhs = draw(st.lists(entry, min_size=n, max_size=n))
+    partition = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    inst = reg_instance(rows, rhs, partition)
+    inst = dataclasses.replace(inst, s=inst.s + draw(st.integers(0, 2)))
+    return inst, draw(st.sampled_from(MODES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(l2_runs())
+def test_l2_exact_value_is_residual_of_its_x(case):
+    # The value comes from b^T b - x.A^T b, never from a broadcast x.
+    inst, mode = case
+    out, transcript = run_protocol("l2-exact", inst, mode)
+    assert out.value == math.sqrt(float(l2_sq_norm(inst.A, inst.b, out.x)))
+    assert transcript.count_kind("solution") == 0
 
 
 def test_l2_sampled_exact_fit_zero():
@@ -480,12 +508,13 @@ def test_embed_exact_fit_zero_optimum():
     inst = reg_instance(rows, rhs, [(i % 2) + 1 for i in range(8)])
     # c_mult = 0.004 gives R = ceil(0.08 * 2 * log2(8) / 0.25) = ceil(1.92) = 2.
     cfg = DEFAULTS.with_multipliers(c_mult=0.004)
-    lp, info = lp_embed_reduce(inst, 4.0, 0.5, Stream(1).split("e"), cfg)
+    rows_e, rhs_e, info = lp_embed_reduce(inst, 4.0, 0.5, Stream(1).split("e"), cfg)
     assert info["R"] == 2
     # x = x0 with every v_r = 0 is feasible, and v_r >= 0 always: optimum 0.
-    from commopt.lpsolve import solve_lp, instance_halfspaces
+    from commopt.lpsolve import solve_lp
 
-    status, x, value = solve_lp(instance_halfspaces(lp), [Fraction(v) for v in lp.c], Stream(2))
+    c = [Fraction(0)] * 2 + [Fraction(-1)] * info["R"]  # maximize -sum v
+    status, x, value = solve_lp(list(zip(rows_e, rhs_e)), c, Stream(2))
     assert status == "SOLVED"
     assert value == 0
 
@@ -496,14 +525,14 @@ def test_embed_identity_collapses_to_linf(monkeypatch):
     monkeypatch.setattr(Stream, "exponential", lambda self: 1.0)
     inst = reg_instance([[1, 2], [3, -1]], [4, 5], [1, 2])
     cfg = DEFAULTS.with_multipliers(c_mult=0.002)
-    lp, info = lp_embed_reduce(inst, 4.0, 0.5, Stream(0), cfg)
+    rows_e, rhs_e, info = lp_embed_reduce(inst, 4.0, 0.5, Stream(0), cfg)
     assert info["R"] == 1
     linf_lp = linf_lp_instance(inst)
     scale = 1 << info["q"]
-    assert lp.n == linf_lp.n
-    for row_e, rhs_e, row_l, rhs_l in zip(lp.A, lp.b, linf_lp.A, linf_lp.b):
+    assert len(rows_e) == len(rhs_e) == linf_lp.n
+    for row_e, b_e, row_l, b_l in zip(rows_e, rhs_e, linf_lp.A, linf_lp.b):
         assert list(row_e) == [scale * v for v in row_l]
-        assert rhs_e == scale * rhs_l
+        assert b_e == scale * b_l
 
 
 def test_embed_rejects_small_p():
@@ -554,6 +583,19 @@ def test_lp_regression_exact_fit():
     out, _ = run_protocol("lp-embed", inst, seed=1, p=4.0, eps=0.5)
     assert out.status == "SOLVED"
     assert out.value <= 1e-7
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_lp_regression_sends_its_input_once(mode):
+    # Server 2 holds no rows; the others send theirs in one gather, and
+    # nothing else crosses a party boundary.
+    inst = reg_instance([[1, 2], [3, -1], [2, 2], [-1, 4]], [4, 5, -3, 1], [1, 1, 3, 3])
+    out, transcript = run_protocol("lp-embed", inst, mode, seed=1, p=4.0, eps=0.5)
+    assert out.status == "SOLVED"
+    gather = Network(mode, inst.s)
+    gather.gather("rows", [inst.server_aug_rows(sid) for sid in range(1, inst.s + 1)])
+    assert transcript.to_csv() == gather.transcript.to_csv()
+    assert [m.sender for m in transcript.messages] == [server(1), server(3)]
 
 
 def test_lp_regression_one_dimensional_vs_scalar_oracle():
