@@ -214,10 +214,13 @@ def validate_transcript(transcript: Transcript, s: int):
 
     Every message must carry at least 1 bit and no more than its payload cost
     plus one addressing surcharge; broadcasts may only appear in blackboard
-    transcripts.
+    transcripts.  A payload logged on several legs (a coordinator-mode
+    broadcast) is priced once; the transcript keeps it alive, so its id is
+    stable for the whole call.
     """
     addr = max(1, math.ceil(math.log2(max(s, 2))))
     pricer = Network(transcript.mode, s)
+    priced: dict[int, int] = {}
     for m in transcript.messages:
         if m.receiver.kind == "broadcast" and transcript.mode != BLACKBOARD_MODE:
             raise ProtocolError("broadcast message in a coordinator-mode transcript")
@@ -225,7 +228,10 @@ def validate_transcript(transcript: Transcript, s: int):
             if party.kind == "server" and not 1 <= party.index <= s:
                 raise ProtocolError(f"party {party} outside 1..{s}")
         floor_bits = 1
-        ceil_bits = max(pricer.payload_bits(m.payload), 1) + addr
+        key = id(m.payload)
+        if key not in priced:
+            priced[key] = pricer.payload_bits(m.payload)
+        ceil_bits = max(priced[key], 1) + addr
         if not floor_bits <= m.bits <= ceil_bits:
             raise ProtocolError(f"message bits {m.bits} outside [{floor_bits}, {ceil_bits}]")
     return True

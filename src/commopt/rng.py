@@ -3,7 +3,9 @@
 Every draw is a keyed blake2b hash of (seed, path, counter), so streams are
 reproducible across platforms and processes, and per-party substreams are
 independent by construction: each split extends the path prefix, never the
-counter, so no two distinct streams ever hash the same input.
+counter, so no two distinct streams ever hash the same input.  Each 32-byte
+digest is unpacked as four little-endian 64-bit words, and draws take them
+from the last to the first before the counter moves on.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+
+_WORDS = struct.Struct("<4Q")
 
 
 class Stream:
@@ -38,7 +42,7 @@ class Stream:
             self._path + struct.pack("<Q", self._counter), key=self._key, digest_size=32
         ).digest()
         self._counter += 1
-        self._buf = [int.from_bytes(h[i : i + 8], "little") for i in range(0, 32, 8)]
+        self._buf = list(_WORDS.unpack(h))
 
     def u64(self) -> int:
         if not self._buf:
@@ -47,7 +51,9 @@ class Stream:
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.u64() >> 11) * (1.0 / (1 << 53))
+        if not self._buf:
+            self._refill()
+        return (self._buf.pop() >> 11) * (1.0 / (1 << 53))
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], rejection-sampled for exact uniformity."""

@@ -1,5 +1,6 @@
 """Message pricing, network accounting, transcript structure, and stream determinism."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from commopt.commsim import (
     BLACKBOARD_MODE,
     COORDINATOR_MODE,
     Network,
+    ProtocolError,
     run_protocol,
     shared_randomness,
+    validate_transcript,
 )
 from commopt.instances import GenSpec, gen_random
 
@@ -143,13 +146,27 @@ def test_blackboard_cheaper_than_coordinator():
 
 
 def test_transcripts_validate_against_schema():
-    from commopt.commsim import validate_transcript
-
     inst = gen_random(GenSpec("linsys", n=8, d=3, L=6, s=3, seed=4, feasible=True))
     for name in ("linsys-det", "linsys-feas-rand"):
         for mode in (COORDINATOR_MODE, BLACKBOARD_MODE):
             _, t = run_protocol(name, inst, mode=mode, seed=2)
             assert validate_transcript(t, inst.s)
+
+
+def test_overpriced_broadcast_leg_rejected(monkeypatch):
+    # A relayed broadcast logs one payload on s legs; validation prices it once
+    # and still checks every leg against that price.
+    net = Network(COORDINATOR_MODE, 4)
+    net.server_broadcast(2, "eq", [5, -3, 9])
+    calls = []
+    price = Network.payload_bits
+    monkeypatch.setattr(Network, "payload_bits", lambda self, p: calls.append(p) or price(self, p))
+    assert validate_transcript(net.transcript, 4)
+    assert len(calls) == 1
+    msgs = net.transcript.messages
+    msgs[-1] = dataclasses.replace(msgs[-1], bits=msgs[-1].bits + 1)
+    with pytest.raises(ProtocolError):
+        validate_transcript(net.transcript, 4)
 
 
 def test_transcript_csv_schema():
