@@ -123,15 +123,20 @@ def l2_sampled(
     aug_views = [instance.server_aug_rows(sid) for sid in range(1, instance.s + 1)]
 
     if n <= target:
-        # Below the sampling budget everything travels; solve exactly.
+        # Below the sampling budget the coordinator holds every row; solve exactly.
         sampled = net.gather("rows", aug_views)
     else:
         views = [instance.server_rows(sid) for sid in range(1, instance.s + 1)]
         _, taus = leverage_protocol(views, d, net, stream.split("lev"), cfg)
         plans = _coordinated_plans(taus, target, "l2", net)
         sampled = _distributed_sample(aug_views, plans, net, stream.split("sample"), "l2samp")
-    x = min_norm_least_squares([r[:-1] for r in sampled], [r[-1] for r in sampled])
-    value = math.sqrt(float(_value_round(instance, net, x, "residual-sq", lambda r: r * r)))
+    rows, rhs = [r[:-1] for r in sampled], [r[-1] for r in sampled]
+    x = min_norm_least_squares(rows, rhs)
+    if n > target:  # the sample's residual is not the instance's
+        sq = _value_round(instance, net, x, "residual-sq", lambda r: r * r)
+    else:
+        sq = l2_sq_norm(rows, rhs, x)
+    value = math.sqrt(float(sq))
     return ProtocolOutcome(
         "SOLVED", x=tuple(x), value=value, extra={"sampled": len(sampled)}
     )
@@ -416,15 +421,16 @@ def l1_lewis(
     target = math.ceil(cfg.sampling_c * d * math.log2(d + 1) / (eps * eps))
     aug_views = [instance.server_aug_rows(sid) for sid in range(1, instance.s + 1)]
 
-    if n <= target:
+    if n <= target:  # the coordinator holds every row
         sampled = net.gather("rows", aug_views)
     else:
         weights = lewis_protocol(aug_views, d + 1, instance.L, net, stream.split("lewis"), cfg)
         plans = _coordinated_plans(weights, target, "l1", net)
         sampled = _distributed_sample(aug_views, plans, net, stream.split("sample"), "l1samp")
 
-    x, _ = l1_minimize_exact([r[:-1] for r in sampled], [r[-1] for r in sampled])
-    value = _value_round(instance, net, x, "residual-l1", abs)
+    x, value = l1_minimize_exact([r[:-1] for r in sampled], [r[-1] for r in sampled])
+    if n > target:  # the sample's residual is not the instance's
+        value = _value_round(instance, net, x, "residual-l1", abs)
     return ProtocolOutcome(
         "SOLVED", x=tuple(x), value=value, extra={"sampled": len(sampled)}
     )
@@ -556,11 +562,15 @@ def l1_agd(
     sa_float = [np.asarray(v, dtype=float) if v else np.zeros((0, d)) for v in sa_views]
     sb_float = [np.asarray(v, dtype=float) if v else np.zeros(0) for v in sb_views]
 
-    def sampled_l1(xv: np.ndarray) -> float:
+    def sampled_l1(xv: np.ndarray, kind: str | None = None) -> float:
+        """The sampled l1 residual at xv, summed in server order; with a kind,
+        each server sends its piece to the coordinator under that kind."""
         total = 0.0
-        for sa, sb in zip(sa_float, sb_float):
-            if len(sa):
-                total += float(np.abs(sa @ xv - sb).sum())
+        for sid, (sa, sb) in enumerate(zip(sa_float, sb_float), start=1):
+            piece = float(np.abs(sa @ xv - sb).sum())
+            if kind:
+                net.to_coordinator(sid, kind, piece)
+            total += piece
         return total
 
     # -- Constant-factor presolve for the target scale. -----------------------
@@ -570,11 +580,9 @@ def l1_agd(
         for sid, view in enumerate(sampled_views, start=1)
     ])
     xp, _ = l1_minimize_exact([r[:-1] for r in presolve_rows], [r[-1] for r in presolve_rows])
-    opt_est = sampled_l1(np.array([float(v) for v in xp]))
-    for sid in range(1, instance.s + 1):
-        net.to_coordinator(sid, "presolve-value", float(opt_est))
-
-    warm_val = sampled_l1(x0)
+    xp_float = net.to_all_servers("presolve-solution", [float(v) for v in xp])
+    opt_est = net.to_all_servers("presolve-total", sampled_l1(np.array(xp_float), "presolve-value"))
+    warm_val = sampled_l1(x0, "warm-value")
     if warm_val == 0.0 or opt_est == 0.0:
         value = float(
             _value_round(instance, net, [Fraction(v) for v in x0_exact], "residual-l1", abs)

@@ -1,9 +1,9 @@
 """Row sampling: leverage-score halving, Lewis-weight iteration, sampling plans.
 
-The recursion keeps exact rows in the messages (integer rescaling only).
-Above its base case, scores are computed in double precision: the protocols
-only ever need constant-factor accuracy there.  The base case, where every
-row is gathered, scores the rows exactly with `exactnum.leverage_scores`.
+The recursion keeps exact rows in the messages (integer rescaling only) and
+sends each level's rows to the servers, which score against them in double
+precision: the protocols only ever need constant-factor accuracy.  A final
+sample goes to the coordinator alone, the only party that reads it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from .commsim import Network, ProtocolOutcome
 from .config import Constants
-from .exactnum import leverage_scores
 from .instances import Instance
 from .rng import Stream
 
@@ -114,22 +113,17 @@ def make_plan(scores, target: float, norm: str) -> SamplingPlan:
 
 
 def _distributed_sample(server_views, plans, net: Network, stream: Stream, tag: str):
-    """Run one sampling round across servers; coordinator rebroadcasts the rows.
+    """Run one sampling round across servers; returns the rows the coordinator gathered.
 
     Each server ships only its own sampled, integer-rescaled rows; the number
     of draws per server is decided by the coordinator from the advertised
     local sampling mass.
     """
-    s = len(server_views)
-    masses = []
-    for sid in range(1, s + 1):
-        mass = sum(plans[sid - 1].values) if plans[sid - 1] else 0.0
-        masses.append(mass)
+    masses = [sum(plan.values) if plan else 0.0 for plan in plans]
+    for sid, mass in enumerate(masses, start=1):
         net.to_coordinator(sid, f"{tag}-mass", Fraction(mass))
-    total = sum(masses)
-    n_draws = math.ceil(total)
+    n_draws = math.ceil(sum(masses))
     if n_draws == 0:
-        net.to_all_servers(f"{tag}-rows", [])
         return []
     counts = stream.split(tag, "counts").multinomial(n_draws, masses)
     gathered: list[tuple] = []
@@ -140,32 +134,19 @@ def _distributed_sample(server_views, plans, net: Network, stream: Stream, tag: 
         rows = plan.draw(view, count, stream.split(tag, "draw", sid))
         net.to_coordinator(sid, f"{tag}-rows", [list(r) for r in rows])
         gathered.extend(rows)
-    net.to_all_servers(f"{tag}-rows", [list(r) for r in gathered])
     return gathered
 
 
-def leverage_protocol(
-    server_views, d: int, net: Network, stream: Stream, cfg: Constants, depth: int = 0
-):
-    """Approximate leverage scores by recursive halving.
-
-    Returns (tilde_rows, per-server score arrays).  tilde approximates the
-    stacked view in the spectral sense; scores are generalized scores against
-    it, with the unsampled-row correction applied inside the recursion.
-    """
+def _halving_rows(server_views, d: int, net: Network, stream: Stream, cfg: Constants, depth: int = 0):
+    """Rows every party holds: each level's broadcast sample, scored against
+    the level below with the unsampled-row correction, or that level's rows
+    when the sample is empty; the base case broadcasts every row."""
     n = sum(len(v) for v in server_views)
     threshold = LEVERAGE_C0 * d * max(1, math.ceil(math.log2(d + 1)))
     if n <= threshold:
         gathered = net.gather("base-rows", server_views)
         net.to_all_servers("base-rows", [list(r) for r in gathered])
-        taus = []
-        for view in server_views:
-            if not view:
-                taus.append(np.zeros(0))
-                continue
-            exact = leverage_scores(list(view), base=gathered) if gathered else []
-            taus.append(np.array([float(t) for t in exact]))
-        return gathered, taus
+        return gathered
 
     # Halve locally, recurse on the sampled halves.
     child_views = []
@@ -178,7 +159,7 @@ def leverage_protocol(
         mask[keep] = True
         sampled_masks.append(mask)
         child_views.append([view[i] for i in keep])
-    tilde_prime, _ = leverage_protocol(child_views, d, net, stream, cfg, depth + 1)
+    tilde_prime = _halving_rows(child_views, d, net, stream, cfg, depth + 1)
 
     plans = []
     log_d = max(1.0, math.log2(d + 1))
@@ -200,8 +181,17 @@ def leverage_protocol(
         plans.append(SamplingPlan(vals, "l2", math.ceil(sum(vals))))
 
     tilde = _distributed_sample(server_views, plans, net, stream, f"lev{depth}")
-    if not tilde:
-        tilde = tilde_prime
+    net.to_all_servers(f"lev{depth}-rows", [list(r) for r in tilde])
+    return tilde or tilde_prime
+
+
+def leverage_protocol(server_views, d: int, net: Network, stream: Stream, cfg: Constants):
+    """Approximate leverage scores by recursive halving.
+
+    Returns (tilde_rows, per-server score arrays).  tilde approximates the
+    stacked view in the spectral sense; each server scores its rows against it.
+    """
+    tilde = _halving_rows(server_views, d, net, stream, cfg)
     taus = [
         leverage_scores_float(view, tilde) if view else np.zeros(0)
         for view in server_views

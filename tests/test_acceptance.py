@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from commopt import registry
 from commopt.commsim import run_protocol
 from commopt.exactnum import (
     INFEASIBLE,
@@ -455,6 +456,8 @@ DETERMINISM_SET = [
     ("lp-cog", GenSpec("lp", n=6, d=2, L=4, s=2, seed=13), {}),
     ("lp-seidel", GenSpec("lp", n=20, d=2, L=6, s=2, seed=14), {}),
     ("lp-oracle", GenSpec("lp", n=12, d=2, L=6, s=2, seed=15), {}),
+    ("leverage", GenSpec("regression", n=120, d=3, L=6, s=2, seed=16), {}),
+    ("lewis", GenSpec("regression", n=120, d=3, L=6, s=2, seed=17), {}),
 ]
 
 # (sha256 of signature(), sha256 of the transcript CSV) for each triple
@@ -480,7 +483,7 @@ DETERMINISM_DIGESTS = {
     ),
     "l2-sampled": (
         "22d0adae9b55c4e516763be627ff629ac3519a7eac0e68658d2b68263a5f0c7a",
-        "ef0690e1bd67ca60349423e216b214c795c199ab632685b2dbeda595da752a4a",
+        "1a356218cc45b40f0fab08848d54343687b72e716edb07db9a635317b9869afc",
     ),
     "l1-simple": (
         "fad2de501f581b65871edef33b21d4aefaf1c24df509d4553476b828fd505673",
@@ -488,11 +491,11 @@ DETERMINISM_DIGESTS = {
     ),
     "l1-lewis": (
         "c846be57c781bd5c0953ca7fc8e942b9ee411b73c60fc5824788bb90da5e5943",
-        "da1803909fe6a2966ff5fc22751b8b1d9d6b8971238fa7487431476dc71fd782",
+        "b7ba9706c8b9861ab13887bae7b01d253788d85a87a51ad0325c54fcb4c4dee1",
     ),
     "l1-agd": (
         "214d4504c2ced325077507484bf018d190358c25f72dd68a23fd5f288a1557c8",
-        "fd427c446ebbcd51755c54980013bfc0507ba615ecea4d9661da7e3a00e5a1a0",
+        "106f1a54a072d9cb95b5d6bd6efa6e100171ccae8bdf5c2096f4333ba45c4a3e",
     ),
     "linf": (
         "4599405c6858c6e2fd106e81407db5a634fcfeb4fb4da02e04a465a66d532dc4",
@@ -522,6 +525,14 @@ DETERMINISM_DIGESTS = {
         "7861c70441d6891da53818959c927d7a206c6143e8e1852a896de95e5258f776",
         "db6f1f82d27ed885e375964e97a8aba976d3d4a31360e1b498dd66042a1e6e9b",
     ),
+    "leverage": (
+        "3fe346160d5c312e1643fa191e83c1c3dfb3d586e6236ba697c0147be47308c0",
+        "b450c18ec8cca4e56cc01cd00f716fb5147dd0b836f3c4cb3d4957d92cd0425a",
+    ),
+    "lewis": (
+        "2a94ce91bf69c1e40996b5dcfe9458c6d777662c0dc2dcb3611e6c7efe894133",
+        "62957589ff39a52097a317142aef507ef52784dc397d7a12d82cceefcaf05f93",
+    ),
 }
 
 
@@ -535,8 +546,13 @@ def test_criterion_11_determinism():
         stable.append((name, same))
     ok = all(same for _, same in stable)
     bad = [name for name, same in stable if not same]
-    _report(11, "determinism (bit-identical reruns)", ok, f"unstable: {bad}" if bad else "15 protocols")
+    _report(11, "determinism (bit-identical reruns)", ok, f"unstable: {bad}" if bad else f"{len(stable)} protocols")
     assert ok, bad
+
+
+def test_determinism_set_pins_every_protocol():
+    assert sorted(name for name, _, _ in DETERMINISM_SET) == registry.names()
+    assert set(DETERMINISM_DIGESTS) == set(registry.names())
 
 
 @pytest.mark.parametrize(

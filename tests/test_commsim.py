@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commopt.commsim import (
     BLACKBOARD_MODE,
@@ -45,6 +47,49 @@ def test_payload_bits_none_bool_float_and_tuples():
     assert PRICE(False) == 2
     assert PRICE(0.5) == 64
     assert PRICE(((1, -3), (Fraction(1, 2), 0))) == PRICE([[1, -3], [Fraction(1, 2), 0]]) == 64 + 2 + 3 + 5 + 2
+
+
+def reference_bits(payload) -> int:
+    """The encoding rules of `commsim`, priced without `_scalar_bits`: a sign
+    bit plus the binary digits of an int's magnitude ("0" for zero), one
+    64-bit word per float, numerator plus denominator for a Fraction, a
+    32-bit header per vector and two per matrix, 1 bit for None."""
+
+    def scalar(x):
+        if isinstance(x, float):
+            return 64
+        if isinstance(x, Fraction):
+            return scalar(x.numerator) + scalar(x.denominator)
+        return 1 + len(format(abs(int(x)), "b"))
+
+    if payload is None:
+        return 1
+    if isinstance(payload, (list, tuple)):
+        if payload and isinstance(payload[0], (list, tuple)):
+            return 2 * 32 + sum(scalar(x) for row in payload for x in row)
+        return 32 + sum(scalar(x) for x in payload)
+    return scalar(payload)
+
+
+SCALARS = st.one_of(st.integers(), st.booleans(), st.floats(), st.fractions())
+
+
+def sequences(elements, **size):
+    return st.one_of(st.lists(elements, **size), st.lists(elements, **size).map(tuple))
+
+
+PAYLOADS = st.one_of(
+    st.none(),
+    SCALARS,
+    sequences(SCALARS, max_size=6),
+    sequences(sequences(SCALARS, max_size=4), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(PAYLOADS)
+def test_payload_bits_matches_reference_pricer(payload):
+    assert PRICE(payload) == reference_bits(payload)
 
 
 @pytest.mark.parametrize("payload", ["abc", np.array([1, 2])])

@@ -102,12 +102,20 @@ def test_l2_sampled_exact_fit_zero():
     assert out.value == 0.0
 
 
+def coordinator_kinds(transcript) -> set:
+    return {m.kind for m in transcript.messages if m.sender.kind == "coordinator"}
+
+
 def test_l2_sampled_below_budget_equals_exact():
+    # The coordinator holds every row, so the gather is the only round.
     inst = gen_random(GenSpec("regression", n=12, d=3, L=6, s=2, seed=4))
     exact, _ = run_protocol("l2-exact", inst)
-    sampled, _ = run_protocol("l2-sampled", inst, seed=8, eps=0.5)
-    assert sampled.x == exact.x
-    assert sampled.value == exact.value
+    for mode in MODES:
+        sampled, transcript = run_protocol("l2-sampled", inst, mode, seed=8, eps=0.5)
+        assert sampled.x == exact.x
+        assert sampled.value == exact.value
+        assert sampled.value == math.sqrt(float(l2_sq_norm(inst.A, inst.b, sampled.x)))
+        assert {m.kind for m in transcript.messages} == {"rows"}
 
 
 def test_l2_sampled_approximation_quality():
@@ -116,7 +124,10 @@ def test_l2_sampled_approximation_quality():
     for seed in range(runs):
         inst = gen_random(GenSpec("regression", n=500, d=4, L=6, s=4, seed=600 + seed))
         exact, _ = run_protocol("l2-exact", inst)
-        sampled, _ = run_protocol("l2-sampled", inst, seed=seed, eps=0.5)
+        sampled, transcript = run_protocol("l2-sampled", inst, seed=seed, eps=0.5)
+        # The sample goes to the coordinator only; nothing sends it back down.
+        assert transcript.count_kind("l2samp-rows") > 0
+        assert "l2samp-rows" not in coordinator_kinds(transcript)
         assert sampled.value >= exact.value - 1e-9  # sanity floor
         good += sampled.value <= 1.5 * exact.value + 1e-9
     assert good >= 0.9 * runs
@@ -288,18 +299,24 @@ def test_l1_simple_approximation():
 
 
 def test_l1_lewis_budget_covers_everything():
+    # The coordinator holds every row, so the gather is the only round.
     inst = gen_random(GenSpec("regression", n=30, d=3, L=5, s=3, seed=13))
-    out, _ = run_protocol("l1-lewis", inst, seed=3, eps=0.5)
     oracle = l1_exact_oracle(list(inst.A), list(inst.b))
-    assert out.value == oracle.value
+    for mode in MODES:
+        out, transcript = run_protocol("l1-lewis", inst, mode, seed=3, eps=0.5)
+        assert out.value == oracle.value
+        assert {m.kind for m in transcript.messages} == {"rows"}
 
 
 def test_l1_lewis_true_sampling_path():
-    # Above the sample budget the distributed Lewis pipeline really samples.
+    # Above the sample budget the distributed Lewis pipeline really samples,
+    # and the sample goes to the coordinator only.
     for seed in range(4):
         inst = gen_random(GenSpec("regression", n=600, d=3, L=5, s=4, seed=5000 + seed))
-        out, _ = run_protocol("l1-lewis", inst, seed=seed, eps=0.5)
+        out, transcript = run_protocol("l1-lewis", inst, seed=seed, eps=0.5)
         assert out.extra["sampled"] < inst.n
+        assert transcript.count_kind("l1samp-rows") > 0
+        assert "l1samp-rows" not in coordinator_kinds(transcript)
         oracle = l1_exact_oracle(list(inst.A), list(inst.b))
         assert oracle.value <= out.value <= Fraction(3, 2) * oracle.value
 
@@ -411,6 +428,28 @@ def test_l1_agd_near_optimal_on_sample():
         assert achieved >= float(oracle.value) - 1e-9
         good += achieved <= 1.25 * float(oracle.value) + 1e-9
     assert good >= 0.8 * runs
+
+
+def test_l1_agd_sends_presolve_and_warm_values():
+    # Servers learn xp, each sends its own piece at xp and at x0, and the
+    # coordinator broadcasts the total of the xp pieces, summed in server order.
+    inst = gen_random(GenSpec("regression", n=60, d=2, L=4, s=3, seed=900))
+    out, transcript = run_protocol("l1-agd", inst, seed=0, eps=0.25)
+    by_kind = {}
+    for m in transcript.messages:
+        by_kind.setdefault(m.kind, []).append(m)
+    xp = np.array(by_kind["presolve-solution"][0].payload)
+    expected = [
+        float(np.abs(np.asarray(view)[:, :-1] @ xp - np.asarray(view)[:, -1]).sum())
+        for view in out.extra["sampled_views"]
+    ]
+    assert [m.sender.index for m in by_kind["presolve-value"]] == [1, 2, 3]
+    assert [m.payload for m in by_kind["presolve-value"]] == expected
+    total = 0.0
+    for piece in expected:
+        total += piece
+    assert {m.payload for m in by_kind["presolve-total"]} == {total}
+    assert [m.sender.index for m in by_kind["warm-value"]] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("L", [6, 12, 20])
