@@ -497,9 +497,18 @@ def smoothed_clarkson(
 
 # Cutting-plane round budget factor: T = ceil(COG_C3 * d^2 * L * log2(d+2)).
 COG_C3 = 4
-# Hit-and-run samples per round (COG_SAMPLES_PER_D * d) and burn-in steps
-# before them (COG_BURNIN_PER_D2 * d^2).
-COG_SAMPLES_PER_D = 1000
+# Hit-and-run samples per round: N = COG_SAMPLE_C * d * ceil(log2(d + 2)),
+# 400 at d = 2 and 1,200 at d = 4.  Bertsimas & Vempala ("Solving convex
+# programs by random walks", J. ACM 2004): O(d) near-uniform samples place a
+# centroid whose cut removes a constant fraction of the volume.  Rudelson
+# (J. Funct. Anal. 1999): O(d log d) samples give the covariance that rounds
+# the cut.  Margin for c, on the cog-hit-and-run benchmark's run lists (fat
+# d = 2, n = 6, L = 1 LPs, rounds_cap = 8), counting runs that ended EMPTY (no
+# feasible centroid within the cap): c = 25 1 of 160 (seeds 1-20), c = 50 1 of
+# 960 (seeds 1-120), c = 100 none of 3,360 (seeds 1-420).
+# tests/test_cog.py::test_short_budget_fat_lps_solved runs both failing runs.
+COG_SAMPLE_C = 100
+# Burn-in steps before the samples of each round: COG_BURNIN_PER_D2 * d^2.
 COG_BURNIN_PER_D2 = 8
 
 
@@ -545,7 +554,7 @@ def center_of_gravity(
     box = float(min(cramer_bound(d, L) + 1, 10.0 ** 12))
     if rounds_cap is None:
         rounds_cap = math.ceil(COG_C3 * d * d * L * math.log2(d + 2))
-    n_samples = COG_SAMPLES_PER_D * d
+    n_samples = COG_SAMPLE_C * d * math.ceil(math.log2(d + 2))
     burnin = COG_BURNIN_PER_D2 * d * d
 
     _distribute_objective(instance, net)

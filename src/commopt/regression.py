@@ -82,14 +82,22 @@ def _gram_round(net: Network, d: int, server_rows, server_rhs):
     return g_sum, y_sum
 
 
-def _value_round(instance: Instance, net: Network, x, kind: str, term) -> Fraction:
-    """Broadcast x; each server sends the sum of term(residual) over its rows."""
+def _value_round(instance: Instance, net: Network, x, kind: str, power: int) -> Fraction:
+    """Broadcast x; each server sends the sum of |residual|**power over its rows.
+
+    x (ints or Fractions) is cleared once to integers num / den, so a server
+    sums the integer residuals |A_i num - den b_i|**power and divides by
+    den**power once.
+    """
     net.to_all_servers("solution", list(x))
+    den = math.lcm(*(v.denominator for v in x))
+    num = [v.numerator * (den // v.denominator) for v in x]
     total = Fraction(0)
     for sid in range(1, instance.s + 1):
-        local = sum(term(dot(instance.A[i], x) - instance.b[i]) for i in instance.rows_of(sid))
-        net.to_coordinator(sid, kind, Fraction(local))
-        total += local
+        local = sum(
+            abs(dot(instance.A[i], num) - den * instance.b[i]) ** power for i in instance.rows_of(sid)
+        )
+        total += net.to_coordinator(sid, kind, Fraction(local, den ** power))
     return total
 
 
@@ -133,7 +141,7 @@ def l2_sampled(
     rows, rhs = [r[:-1] for r in sampled], [r[-1] for r in sampled]
     x = min_norm_least_squares(rows, rhs)
     if n > target:  # the sample's residual is not the instance's
-        sq = _value_round(instance, net, x, "residual-sq", lambda r: r * r)
+        sq = _value_round(instance, net, x, "residual-sq", 2)
     else:
         sq = l2_sq_norm(rows, rhs, x)
     value = math.sqrt(float(sq))
@@ -405,7 +413,7 @@ def l1_simple(
         net.to_coordinator(sid, "sketch", [list(r) for r in sketch])
         stacked.extend(sketch)
     x, _ = l1_minimize_exact([r[:-1] for r in stacked], [r[-1] for r in stacked])
-    value = _value_round(instance, net, x, "residual-l1", abs)
+    value = _value_round(instance, net, x, "residual-l1", 1)
     return ProtocolOutcome(
         "SOLVED", x=tuple(x), value=value, extra={"sketch_rows": len(stacked)}
     )
@@ -430,7 +438,7 @@ def l1_lewis(
 
     x, value = l1_minimize_exact([r[:-1] for r in sampled], [r[-1] for r in sampled])
     if n > target:  # the sample's residual is not the instance's
-        value = _value_round(instance, net, x, "residual-l1", abs)
+        value = _value_round(instance, net, x, "residual-l1", 1)
     return ProtocolOutcome(
         "SOLVED", x=tuple(x), value=value, extra={"sampled": len(sampled)}
     )
@@ -585,7 +593,7 @@ def l1_agd(
     warm_val = sampled_l1(x0, "warm-value")
     if warm_val == 0.0 or opt_est == 0.0:
         value = float(
-            _value_round(instance, net, [Fraction(v) for v in x0_exact], "residual-l1", abs)
+            _value_round(instance, net, [Fraction(v) for v in x0_exact], "residual-l1", 1)
         )
         return ProtocolOutcome(
             "SOLVED",
@@ -656,7 +664,7 @@ def l1_agd(
 
     x_final = r_inv @ best_z
     value = float(
-        _value_round(instance, net, [Fraction(float(v)) for v in x_final], "residual-l1", abs)
+        _value_round(instance, net, [Fraction(float(v)) for v in x_final], "residual-l1", 1)
     )
     return ProtocolOutcome(
         "SOLVED",

@@ -15,16 +15,20 @@ import math
 import struct
 
 _WORDS = struct.Struct("<4Q")
+_COUNTER = struct.Struct("<Q")
 
 
 class Stream:
     """Deterministic random stream keyed by a 64-bit seed and a path prefix."""
 
-    __slots__ = ("_key", "_path", "_counter", "_buf", "_spare_gauss")
+    __slots__ = ("_key", "_path", "_prefix", "_counter", "_buf", "_spare_gauss")
 
     def __init__(self, seed: int, path: tuple = ()):
         self._key = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
         self._path = b"/".join(str(p).encode() for p in path)
+        # blake2b keyed and fed the path, built on the first refill; each
+        # refill hashes a copy of it, so the key block is compressed once.
+        self._prefix = None
         self._counter = 0
         self._buf: list[int] = []
         self._spare_gauss: float | None = None
@@ -38,11 +42,12 @@ class Stream:
         return child
 
     def _refill(self) -> None:
-        h = hashlib.blake2b(
-            self._path + struct.pack("<Q", self._counter), key=self._key, digest_size=32
-        ).digest()
+        if self._prefix is None:
+            self._prefix = hashlib.blake2b(self._path, key=self._key, digest_size=32)
+        h = self._prefix.copy()
+        h.update(_COUNTER.pack(self._counter))
         self._counter += 1
-        self._buf = list(_WORDS.unpack(h))
+        self._buf = list(_WORDS.unpack(h.digest()))
 
     def u64(self) -> int:
         if not self._buf:

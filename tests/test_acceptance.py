@@ -514,8 +514,8 @@ DETERMINISM_DIGESTS = {
         "f25c8dbeb1656bcaa123155843b324aa111369d248e249491642314377533a82",
     ),
     "lp-cog": (
-        "b8a2d39f7e80814a6da37e793e45e706344739f6fdfce0544cf77e88cdd2c008",
-        "7afe35d0be67dccc783b650323f5806794efc447c8ad7a099fafde9443408eff",
+        "d364206b63f893fd95053d8b22e0e6883fb9beb61ac3242d7e953f4c86594c30",
+        "bc951066bf1424573abce70c81a0640a30a65a5e66de5517fee1fa18e5dd9d85",
     ),
     "lp-seidel": (
         "7d211644a84e7a9e18d2400f495b235cb317c69b69253a874869c61af938cba6",

@@ -16,6 +16,7 @@ from commopt.exactnum import dot
 from commopt.instances import GenSpec, Instance, gen_random
 from commopt.lpsolve import SizeGuardError, lp_exact_oracle
 from commopt.regression import (
+    _value_round,
     gradient_exchange,
     huber_smooth,
     inv_exp_moment,
@@ -89,6 +90,30 @@ def test_l2_exact_value_is_residual_of_its_x(case):
     out, transcript = run_protocol("l2-exact", inst, mode)
     assert out.value == math.sqrt(float(l2_sq_norm(inst.A, inst.b, out.x)))
     assert transcript.count_kind("solution") == 0
+
+
+COORDS = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(max_denominator=60),
+    st.floats(-1e6, 1e6, allow_nan=False).map(Fraction),  # denominators up to 2**1074
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(l2_runs(), st.data())
+def test_value_round_equals_fraction_residual_sums(case, data):
+    inst, mode = case
+    x = data.draw(st.lists(COORDS, min_size=inst.d, max_size=inst.d))
+    for power, kind in ((1, "residual-l1"), (2, "residual-sq")):
+        net = Network(mode, inst.s)
+        total = _value_round(inst, net, x, kind, power)
+        pieces = [m.payload for m in net.transcript.messages if m.kind == kind]
+        assert len(pieces) == inst.s  # idle servers send 0
+        for sid, piece in enumerate(pieces, start=1):
+            rows = inst.rows_of(sid)
+            assert piece == sum(abs(dot(inst.A[i], x) - inst.b[i]) ** power for i in rows)
+        assert total == sum(pieces)
+    assert total == l2_sq_norm(inst.A, inst.b, x)
 
 
 def test_l2_sampled_exact_fit_zero():

@@ -1,6 +1,7 @@
-"""Golden sequences for `rng.Stream`: word order, buffer refills and the gauss spare."""
+"""Golden sequences for `rng.Stream` (word order, refills, the gauss spare) and a from-scratch hash reference."""
 
 import hashlib
+import struct
 
 import pytest
 
@@ -68,3 +69,27 @@ def test_stream_golden_sequences(name):
     run = [s.u64()] + [s.gauss() for _ in range(3)] + [s.u64() for _ in range(6)]
     run += [s.random(), s.gauss(), s.gauss(), s.u64()]
     assert run == mixed
+
+
+def _reference_words(seed, path, counters):
+    """Each refill's four words hashed from scratch: blake2b(path + counter, key=seed)."""
+    key = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
+    words = []
+    for counter in counters:
+        digest = hashlib.blake2b(path + struct.pack("<Q", counter), key=key, digest_size=32).digest()
+        words += reversed(struct.unpack("<4Q", digest))  # draws take the last word first
+    return words
+
+
+def test_refills_match_a_fresh_keyed_hash():
+    parent = Stream(2**64 + 99, ("p", 3))
+    assert [parent.u64() for _ in range(4 * 5)] == _reference_words(99, b"p/3", range(5))
+    # A child split after its parent has drawn hashes its own path from counter 0,
+    # and the parent carries on from its own counter.
+    child = parent.split("c", 1)
+    assert [child.u64() for _ in range(4 * 3)] == _reference_words(99, b"p/3|c/1", range(3))
+    grandchild = child.split("g")
+    assert [grandchild.u64() for _ in range(4)] == _reference_words(99, b"p/3|c/1|g", range(1))
+    assert [parent.u64() for _ in range(4 * 2)] == _reference_words(99, b"p/3", range(5, 7))
+    root = Stream(5).split("x")  # a split of a root that never drew
+    assert [root.u64() for _ in range(8)] == _reference_words(5, b"x", range(2))
