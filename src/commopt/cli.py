@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import registry
-from .commsim import ProtocolError, run_protocol
+from .commsim import run_protocol
 from .config import DEFAULTS
 from .exactnum import INFEASIBLE, dot, leverage_scores, min_norm_least_squares, rank_and_solve
 from .instances import GenSpec, gen_random, read_instance, write_instance
@@ -80,7 +80,7 @@ def cmd_run(args) -> int:
         outcome, transcript = run_protocol(
             args.protocol, inst, mode=args.mode, seed=args.seed, cfg=cfg, **params
         )
-    except ProtocolError as exc:
+    except ValueError as exc:  # a ProtocolError, or a parameter out of range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SizeGuardError as exc:

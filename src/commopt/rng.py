@@ -87,11 +87,6 @@ class Stream:
                 self._spare_gauss = v * scale
                 return u * scale
 
-    def exponential(self) -> float:
-        """Exponential(1) via inverse CDF."""
-        u = self.random()
-        return -math.log1p(-u)
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates."""
         for i in range(len(items) - 1, 0, -1):

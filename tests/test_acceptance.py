@@ -502,7 +502,7 @@ DETERMINISM_DIGESTS = {
         "47f33802cd11767597c61fcfd1cf86f44ea8e0e7df93f35dd7cda11a839fe9f5",
     ),
     "lp-embed": (
-        "c00b7569aac9158b75c9057e191d49b069aaf3a56c4e0f5d873f076e82ef1567",
+        "72403ad3b2aaf1fbebeb750f1c8010cc4fa2b60a9135f3f3c1f611a97d275cac",
         "764152bcb5220e393c22b3b219fc12b9c73ec1a7a6303660c6d6760d6fc31662",
     ),
     "lp-clarkson": (

@@ -144,6 +144,14 @@ def test_exit_codes(tmp_path):
     guard = run_cli(["run", "--protocol", "lp-oracle", "--input", str(big)])
     assert guard.returncode == 4
 
+    reg = tmp_path / "reg.json"
+    main(["gen", "--kind", "regression", "--n", "6", "--d", "2", "--L", "4", "--s", "2",
+          "--seed", "10", "-o", str(reg)])
+    for flags in (["lp-embed", "--p", "2"], ["lp-embed", "--eps", "1.5"], ["l2-sampled", "--eps", "3"]):
+        assert main(["run", "--input", str(reg), "--protocol", *flags]) == 2, flags
+    # sum |r|^400 at the least-squares fit overflows doubles
+    assert main(["run", "--input", str(reg), "--protocol", "lp-embed", "--p", "400"]) == 4
+
 
 def test_transcript_csv_is_strict_rfc4180(tmp_path, capsys):
     inst = tmp_path / "a.json"
