@@ -350,6 +350,25 @@ def int_solve(matrix, rhs: Sequence) -> tuple[list[int], int] | None:
     return [row[n] for row in rows], last
 
 
+def first_basis_solve(rows, rhs: Sequence, order, d: int):
+    """`int_solve` on the first d linearly independent rows taken in `order`.
+
+    Returns ``(basis, num, den)``, with ``basis`` the chosen row indices in
+    `order`'s order, or ``None`` when those rows have rank below d.  This is
+    how a float guess of a vertex becomes an exact one: `order` ranks the
+    rows by how tight the guess holds them.  Entries must already be ints.
+    """
+    span = RowBasis()
+    basis = []
+    for i in order:
+        if span.insert(rows[i]):
+            basis.append(i)
+            if len(basis) == d:
+                num, den = int_solve([rows[k] for k in basis], [rhs[k] for k in basis])
+                return basis, num, den
+    return None
+
+
 def int_det(matrix) -> int:
     """Exact determinant of an integer matrix (fraction-free Bareiss)."""
     rows = [list(map(int, r)) for r in matrix]

@@ -3,10 +3,13 @@
 All LPs are `max c.x subject to A x <= b` over exact rationals.  Two local
 exact engines back the protocols:
 
-* ``lp_exact_oracle``  - vertex enumeration over d-subsets of constraints,
-  the reference solver used by tests (size-guarded).  It runs on integers
-  only: each vertex is the integer Cramer ratio num / |det| of one subset,
-  found by fraction-free Bareiss elimination (``exactnum.int_solve``);
+* ``lp_exact_oracle``  - the reference solver used by tests and checks
+  (size-guarded).  It runs on integers only: each vertex is the integer
+  Cramer ratio num / |det| of one d-subset of constraints, found by
+  fraction-free Bareiss elimination (``exactnum.int_solve``).  A HiGHS
+  basis guess is kept when an integer certificate proves its vertex the
+  unique optimum; otherwise every d-subset is enumerated.  Both paths
+  return the same answer;
 * ``solve_lp``         - exact incremental solver (randomized insertion with
   recursion on violated constraints), fast for d <= 6, used as the
   subproblem solver inside the protocols.
@@ -32,7 +35,7 @@ import numpy as np
 
 from .commsim import Network, ProtocolOutcome
 from .config import Constants
-from .exactnum import INFEASIBLE, clear_denominators, dot, int_solve
+from .exactnum import INFEASIBLE, clear_denominators, dot, first_basis_solve, int_solve, transpose
 from .instances import Instance
 from .rng import Stream
 
@@ -82,11 +85,22 @@ def box_halfspaces(d: int, bound) -> list[Halfspace]:
 
 
 # ---------------------------------------------------------------------------
-# Reference solver: vertex enumeration
+# Reference solver: a certified basis guess, else vertex enumeration
 # ---------------------------------------------------------------------------
 
 # Basis-enumeration oracle guard: C(n, d) must stay below this.
 ORACLE_GUARD = 10**6
+# Below this many d-subsets the oracle enumerates without a basis guess: one
+# HiGHS call costs about as much as 100 integer subset solves.
+CERTIFY_MIN_SUBSETS = 128
+
+
+def _subset_count(n: int, d: int, guard: int) -> int:
+    """C(n, d), the d-subsets enumeration visits; SizeGuardError above `guard`."""
+    count = math.comb(n, d)
+    if count > guard:
+        raise SizeGuardError(f"C({n},{d}) exceeds the enumeration guard {guard}")
+    return count
 
 
 def _as_int(v) -> int:
@@ -117,8 +131,7 @@ def _enumerate_vertices(rows: list[Halfspace], c, guard: int):
     """
     d = len(c)
     n = len(rows)
-    if math.comb(n, d) > guard:
-        raise SizeGuardError(f"C({n},{d}) exceeds the enumeration guard {guard}")
+    _subset_count(n, d, guard)
     a_int = [tuple(_as_int(v) for v in a) for a, _ in rows]
     b_int = [_as_int(beta) for _, beta in rows]
     c_int = clear_denominators(c)  # a positive rescaling ranks vertices the same way
@@ -146,11 +159,68 @@ def _enumerate_vertices(rows: list[Halfspace], c, guard: int):
     return dot(c, x), x
 
 
+def _certified_vertex(rows: list[Halfspace], c_int: list[int], bound: int):
+    """(num, den) of the boxed LP's unique optimum x = num / den, or None.
+
+    HiGHS solves max c.x subject to the rows in doubles, each row scaled by
+    its largest |a_j|.  The box is left out: a vertex on it fails the test
+    below anyway.  The d independent rows B of smallest |slack| at that
+    guess fix x exactly (`first_basis_solve`).  x is accepted only if every
+    row holds exactly, every |x_j| < bound, and the duals y with
+    y^T A_B = c are all strictly positive.  Then every feasible x' has
+    c.x' = y.A_B x' <= y.b_B = c.x, with equality only where A_B x' = b_B,
+    that is at x' = x.  So x is the unique optimum, strictly inside the box,
+    and the vertex that enumeration returns.  HiGHS only picks which path
+    runs, never the answer.  None when c = 0, an entry leaves double range, HiGHS
+    reports no optimum, or the test fails.
+    """
+    d = len(c_int)
+    if not any(c_int) or len(rows) < d:
+        return None
+    from scipy.optimize import linprog
+
+    scaled = []
+    try:
+        for a, beta in rows:
+            top = max(map(abs, a)) or 1
+            scaled.append([v / top for v in (*a, beta)])
+    except OverflowError:  # a right-hand side beyond double range
+        return None
+    scaled = np.array(scaled)
+    a_float, b_float = scaled[:, :d], scaled[:, d]
+    c_max = max(map(abs, c_int))
+    objective = [-v / c_max for v in c_int]
+    res = linprog(objective, A_ub=a_float, b_ub=b_float, bounds=(None, None), method="highs")
+    if res.status != 0:
+        return None
+
+    a_int = [a for a, _ in rows]
+    b_int = [beta for _, beta in rows]
+    order = np.argsort(np.abs(a_float @ res.x - b_float), kind="stable").tolist()
+    picked = first_basis_solve(a_int, b_int, order, d)
+    if picked is None:
+        return None
+    basis, num, den = picked
+    if any(abs(v) >= bound * den for v in num):
+        return None
+    if any(dot(a, num) > beta * den for a, beta in rows):
+        return None
+    y_num, _ = int_solve(transpose([a_int[k] for k in basis]), c_int)
+    if any(v <= 0 for v in y_num):
+        return None
+    return num, den
+
+
 def solve_lp_enumerate(rows: list[Halfspace], c, L: int | None = None):
-    """Exact LP solve by basis enumeration.
+    """Exact LP solve: a certified float basis, else basis enumeration.
 
     Returns (status, x, value) with status SOLVED / INFEASIBLE / UNBOUNDED.
     Ties are broken toward the lexicographically smallest optimal vertex.
+    Above CERTIFY_MIN_SUBSETS subsets a HiGHS guess is tried first
+    (`_certified_vertex`).  Its integer certificate proves a unique optimum,
+    the vertex that enumeration would return, so both paths give the same
+    result.  Ties, c = 0, infeasible and unbounded LPs, and optima on the box
+    are never certified and are enumerated.
     """
     rows = _int_rows(rows)
     d = len(c)
@@ -158,6 +228,12 @@ def solve_lp_enumerate(rows: list[Halfspace], c, L: int | None = None):
         L = effective_bitlength(rows, c)
     bound = cramer_bound(d, L) + 1
     boxed = rows + box_halfspaces(d, bound)
+    if _subset_count(len(boxed), d, ORACLE_GUARD) > CERTIFY_MIN_SUBSETS:
+        certified = _certified_vertex(rows, clear_denominators(c), bound)
+        if certified is not None:
+            num, den = certified
+            x = [Fraction(v, den) for v in num]
+            return "SOLVED", tuple(x), dot(c, x)
     best = _enumerate_vertices(boxed, c, ORACLE_GUARD)
     if best is None:
         return INFEASIBLE, None, None
@@ -244,8 +320,8 @@ def solve_lp(rows: list[Halfspace], c, stream: Stream | None = None, L: int | No
     """Exact incremental LP solve (value-correct for any insertion order).
 
     Returns (status, x, value); the box bound makes the solver total, and an
-    optimum pinned to the box triggers the same recession test as the
-    enumeration oracle.
+    optimum pinned to the box triggers the same recession test as vertex
+    enumeration.
     """
     rows = _int_rows(rows)
     d = len(c)
@@ -752,7 +828,7 @@ def seidel(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> 
 
 
 def lp_oracle_entry(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> ProtocolOutcome:
-    """Ship everything to the coordinator and run the enumeration oracle."""
+    """Ship everything to the coordinator and run the exact oracle (`lp_exact_oracle`)."""
     _distribute_objective(instance, net)
     net.gather("constraints", [instance.server_aug_rows(sid) for sid in range(1, instance.s + 1)])
     status, x, value = lp_exact_oracle(instance)

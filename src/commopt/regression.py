@@ -18,8 +18,8 @@ import numpy as np
 from .commsim import Network, ProtocolOutcome
 from .config import Constants
 from .exactnum import (
-    RowBasis,
     dot,
+    first_basis_solve,
     gram,
     int_solve,
     mat_vec,
@@ -234,16 +234,11 @@ def _l1_certified_optimum(rows, rhs, mult, d):
         return None
     x_guess = -res.eqlin.marginals
 
-    basis = RowBasis()
-    z = []
-    for i in np.argsort(np.abs(a @ x_guess - b), kind="stable").tolist():
-        if basis.insert(rows[i]):
-            z.append(i)
-            if len(z) == d:
-                break
-    else:
+    order = np.argsort(np.abs(a @ x_guess - b), kind="stable").tolist()
+    picked = first_basis_solve(rows, rhs, order, d)
+    if picked is None:
         return None
-    num, den = int_solve([rows[k] for k in z], [rhs[k] for k in z])
+    z, num, den = picked
     resid = [dot(row, num) - beta * den for row, beta in zip(rows, rhs)]
     if resid.count(0) != d:
         return None

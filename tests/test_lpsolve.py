@@ -61,6 +61,14 @@ def test_oracle_guard_trips():
     assert math.comb(408, 4) > lpsolve.ORACLE_GUARD
     with pytest.raises(SizeGuardError):
         lp_exact_oracle(inst)
+    # The guard also precedes the certificate: this LP (408 rows, 416 with
+    # the oracle's box) would be certified, and must still raise.
+    inst = gen_random(GenSpec("lp", n=400, d=4, L=6, s=2, seed=1))
+    rows = lpsolve.instance_halfspaces(inst)
+    assert math.comb(inst.n + 8, 4) > lpsolve.ORACLE_GUARD
+    assert lpsolve._certified_vertex(rows, list(inst.c), cramer_bound(4, inst.L) + 1) is not None
+    with pytest.raises(SizeGuardError):
+        lp_exact_oracle(inst)
 
 
 def _reference_enumerate(rows, c, guard):
@@ -79,6 +87,13 @@ def _reference_enumerate(rows, c, guard):
         if best is None or value > best[0] or (value == best[0] and x < best[1]):
             best = (value, x)
     return best
+
+
+def _reference_path():
+    """solve_lp_enumerate on the Fraction reference enumerator, with no certificate."""
+    return mock.patch.multiple(
+        lpsolve, _enumerate_vertices=_reference_enumerate, _certified_vertex=lambda *args: None
+    )
 
 
 @st.composite
@@ -108,7 +123,7 @@ def test_enumeration_matches_fraction_reference(lp):
     )
     # End to end, including the recession check behind UNBOUNDED.
     result = solve_lp_enumerate(rows, c)
-    with mock.patch.object(lpsolve, "_enumerate_vertices", _reference_enumerate):
+    with _reference_path():
         assert repr(result) == repr(solve_lp_enumerate(rows, c))
 
 
@@ -124,9 +139,91 @@ def test_enumeration_covers_every_outcome():
     for rows, c, expected in cases:
         result = solve_lp_enumerate(rows, c)
         assert result[0] == expected
-        with mock.patch.object(lpsolve, "_enumerate_vertices", _reference_enumerate):
+        with _reference_path():
             assert repr(result) == repr(solve_lp_enumerate(rows, c))
     assert solve_lp_enumerate(cases[2][0], cases[2][1])[1] == (0, 2)
+
+
+VERTEX_LP_KINDS = ("unique", "degenerate", "tie", "zero", "infeasible", "unbounded", "box", "perturbed")
+
+
+@st.composite
+def vertex_lps(draw):
+    """Integer LPs around a vertex p, in each shape the certificate must prove
+    or refuse.  'unique': c in the open cone of d rows tight at p;
+    'degenerate': d + 1 rows tight at p; 'tie': c normal to a tight row, so a
+    whole facet may be optimal; 'zero': c = 0; 'infeasible': two opposed rows
+    with a gap; 'unbounded': at most one row; 'box': only x_0 is bounded and
+    c = e_0, so the optimum touches the box and is SOLVED when d > 1;
+    'perturbed': lp-smoothed rows, integers near 5e19 once cleared.  Rows may
+    be scaled by integers >= 1e15 or beyond double range, a slack row may
+    have a right-hand side beyond double range, a shadow of a tight row may
+    lie outside it by less than double resolution, and L may understate the
+    data, so that the box cuts off vertices."""
+    kind = draw(st.sampled_from(VERTEX_LP_KINDS))
+    if kind == "perturbed":
+        seed = draw(st.integers(0, 10**6))
+        base = gen_random(GenSpec("lp", n=4, d=2, L=4, s=2, seed=seed))
+        plp = perturb_lp_stream(base, 0.25, 60, Stream(seed))
+        return plp.rows, [Fraction(v) for v in base.c], None
+    d = draw(st.integers(1, 3))
+    p = [draw(st.integers(-12, 12)) for _ in range(d)]
+    vec = st.lists(st.integers(-4, 4), min_size=d, max_size=d).filter(any)
+    n_tight = {"degenerate": d + 1, "unbounded": draw(st.integers(0, 1))}.get(kind, d)
+    tight = [draw(vec) for _ in range(n_tight)]
+    if kind == "box":
+        tight = [[1] + [0] * (d - 1)]
+    rows = [(a, dot(a, p)) for a in tight]
+    if tight and draw(st.booleans()):
+        f = 10**17 + 3
+        rows.insert(0, ([f * v for v in tight[0]], f * rows[0][1] + 1))
+    if kind not in ("unbounded", "box"):
+        for _ in range(draw(st.integers(0, 4))):
+            a = draw(vec)
+            rows.append((a, dot(a, p) + draw(st.integers(1, 6))))
+    if kind == "infeasible":
+        a = draw(vec)
+        rows += [(a, 0), ([-v for v in a], -1)]
+    if kind in ("unique", "degenerate"):
+        weights = [draw(st.integers(1, 3)) for _ in tight]
+        c = [sum(w * a[j] for w, a in zip(weights, tight)) for j in range(d)]
+    elif kind in ("tie", "box"):
+        c = list(tight[0])
+    elif kind == "zero":
+        c = [0] * d
+    else:
+        c = draw(vec)
+    scale = st.sampled_from([1, 1, 10**15 + 37, 3**40, 2**1100])
+    rows = [([f * v for v in a], f * beta) for (a, beta), f in ((r, draw(scale)) for r in rows)]
+    if draw(st.booleans()):
+        rows.append((draw(vec), 2**1100))
+    rows = [(tuple(a), beta) for a, beta in rows]
+    c = [Fraction(v, draw(st.integers(1, 3))) for v in c]
+    return rows, c, draw(st.sampled_from([None, None, 1, 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_lps())
+def test_certified_path_matches_enumeration(lp):
+    """With the certificate tried at every size, results are repr-identical
+    to enumeration alone."""
+    rows, c, L = lp
+    with mock.patch.object(lpsolve, "CERTIFY_MIN_SUBSETS", 0):
+        result = solve_lp_enumerate(rows, c, L)
+    with mock.patch.object(lpsolve, "_certified_vertex", lambda *args: None):
+        assert repr(result) == repr(solve_lp_enumerate(rows, c, L))
+
+
+def test_certificate_decides_bounded_lps():
+    """The certificate, not enumeration, answers >= 95% of bounded GenSpec LPs."""
+    certified = 0
+    runs = 40
+    for seed in range(runs):
+        d = 2 + seed % 2
+        inst = gen_random(GenSpec("lp", n=20 + seed, d=d, L=6, s=3, seed=seed))
+        rows = lpsolve.instance_halfspaces(inst)
+        certified += lpsolve._certified_vertex(rows, list(inst.c), cramer_bound(d, inst.L) + 1) is not None
+    assert certified >= 0.95 * runs
 
 
 def test_enumeration_rejects_non_integer_rows():
