@@ -1,9 +1,10 @@
 """Row sampling: leverage-score halving, Lewis-weight iteration, sampling plans.
 
-The recursion keeps exact rows in the messages (integer rescaling only) and
-sends each level's rows to the servers, which score against them in double
-precision: the protocols only ever need constant-factor accuracy.  A final
-sample goes to the coordinator alone, the only party that reads it.
+Each level of the recursion shares one exact d x d Gram: every server sends
+the integer Gram of its sampled, integer-rescaled rows and the coordinator
+sends back the sum, which the servers score against in double precision
+(the protocols only ever need constant-factor accuracy).  A final sample
+goes to the coordinator alone as rows, since it solves on them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .commsim import Network, ProtocolOutcome
 from .config import Constants
+from .exactnum import gram
 from .instances import Instance
 from .rng import Stream
 
@@ -24,35 +26,57 @@ MAX_RESCALE = 1 << 40
 LEVERAGE_C0 = 4
 # Lewis-weight clamp floor exponent multiplier: B = LEWIS_C1 * L * ceil(log2(n*d)).
 LEWIS_C1 = 2
+# An eigenvalue of the Gram counts as nonzero above EIG_RTOL * d * lambda_max:
+# eigh errs by about 2.2e-16 * d * lambda_max, 1e4 below it.  The Gram squares
+# the rows' condition number, so rows conditioned beyond ~1e6 / sqrt(d) lose
+# their weakest directions.
+EIG_RTOL = 1e-12
+# A row escapes the kept eigenspace (tau = +inf) when ||a||^2 - ||V^T a||^2
+# exceeds ESCAPE_RTOL * ||a||^2: rounding leaves ~1e-15 * ||a||^2 for a row
+# inside it, and eigenvector error adds about (2.2e-16 * condition of G)^2,
+# which stays under 1e-9 while that condition stays under ~1e11.
+ESCAPE_RTOL = 1e-9
 
 
-def leverage_scores_float(a_rows, b_rows) -> np.ndarray:
-    """Generalized leverage scores of the rows of A w.r.t. B, in doubles.
+def _exponent(m) -> int:
+    """Binary exponent of the largest |entry| of a float array or integer rows."""
+    if isinstance(m, np.ndarray):
+        return math.frexp(float(np.abs(m).max(initial=0.0)))[1]
+    return max((abs(v) for row in m for v in row), default=0).bit_length()
 
-    Rows outside the row space of B get +inf, matching the exact scorer.
+
+def _scaled_floats(m, k: int) -> np.ndarray:
+    """m * 2^-k in doubles; integer entries are divided exactly, then rounded once."""
+    if isinstance(m, np.ndarray):
+        return np.ldexp(m, -k)
+    return np.array([[v / (1 << k) for v in row] for row in m], dtype=float)
+
+
+def leverage_scores_float(a_rows, g) -> np.ndarray:
+    """Generalized leverage scores a^T G^+ a of the rows of A, where G = B^T B
+    is the Gram of some rows B (exact integers or a float array), in doubles.
+
+    Rows outside the row space of B get +inf, matching the exact scorer, and
+    zero rows get 0.  An empty G (no rows B) scores every nonzero row +inf.
     """
-    a = np.asarray(a_rows, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if len(b_rows) == 0:
-        out = np.full(len(a), np.inf)
-        out[np.all(a == 0.0, axis=1)] = 0.0
-        return out
-    b = np.asarray(b_rows, dtype=float)
-    _, sing, vt = np.linalg.svd(b, full_matrices=False)
-    if sing.size == 0 or sing[0] == 0.0:
-        out = np.full(len(a), np.inf)
-        out[np.all(a == 0.0, axis=1)] = 0.0
-        return out
-    keep = sing > sing[0] * 1e-10 * max(b.shape)  # relative rank cutoff
-    v_r = vt[keep].T  # d x r rowspace basis
-    sig = sing[keep]
-    proj = a @ v_r
+    if len(g) == 0:
+        return np.array([np.inf if any(row) else 0.0 for row in a_rows])
+    try:
+        a = np.asarray(a_rows, dtype=float)
+    except OverflowError:  # integer entries beyond double range
+        a = a_rows
+    # One shift: a * 2^-k and G * 2^-2k leave every tau unchanged.  k > 0 only
+    # when an entry would leave double range; it brings a under 2^500 and G
+    # under 2^1000, so squares and sums of them stay finite.
+    k = max(0, _exponent(a) - 500, (_exponent(g) - 999) // 2)
+    a = _scaled_floats(a, k).reshape(-1, len(g))
+    lam, vec = np.linalg.eigh(_scaled_floats(g, 2 * k))
+    keep = lam > max(lam[-1], 0.0) * EIG_RTOL * len(lam)
+    proj = a @ vec[:, keep]
     norms = np.einsum("ij,ij->i", a, a)
     resid = norms - np.einsum("ij,ij->i", proj, proj)
-    tau = np.einsum("ij,ij->i", proj / sig, proj / sig)
-    escaped = resid > (1e-16 + 1e-12 * norms)
-    tau[escaped] = np.inf
+    tau = np.einsum("ij,ij->i", proj, proj / lam[keep])
+    tau[resid > ESCAPE_RTOL * norms] = np.inf
     tau[norms == 0.0] = 0.0
     return tau
 
@@ -112,41 +136,62 @@ def make_plan(scores, target: float, norm: str) -> SamplingPlan:
 # ---------------------------------------------------------------------------
 
 
-def _distributed_sample(server_views, plans, net: Network, stream: Stream, tag: str):
-    """Run one sampling round across servers; returns the rows the coordinator gathered.
+def _distributed_draws(server_views, plans, net: Network, stream: Stream, tag: str):
+    """Run one sampling round across servers; yields (server id, drawn rows)
+    for each server that draws, right after it learns its draw count.
 
-    Each server ships only its own sampled, integer-rescaled rows; the number
-    of draws per server is decided by the coordinator from the advertised
-    local sampling mass.
+    The number of draws per server is decided by the coordinator from the
+    advertised local sampling mass; the caller ships what each server drew.
     """
     masses = [sum(plan.values) if plan else 0.0 for plan in plans]
     for sid, mass in enumerate(masses, start=1):
         net.to_coordinator(sid, f"{tag}-mass", Fraction(mass))
     n_draws = math.ceil(sum(masses))
     if n_draws == 0:
-        return []
+        return
     counts = stream.split(tag, "counts").multinomial(n_draws, masses)
-    gathered: list[tuple] = []
     for sid, (view, plan, count) in enumerate(zip(server_views, plans, counts), start=1):
         net.to_server(sid, f"{tag}-count", count)
-        if count == 0 or not plan:
-            continue
-        rows = plan.draw(view, count, stream.split(tag, "draw", sid))
+        if count and plan:
+            yield sid, plan.draw(view, count, stream.split(tag, "draw", sid))
+
+
+def _distributed_sample(server_views, plans, net: Network, stream: Stream, tag: str):
+    """One sampling round whose sampled, integer-rescaled rows all go to the
+    coordinator; returns them stacked in server order."""
+    gathered: list[tuple] = []
+    for sid, rows in _distributed_draws(server_views, plans, net, stream, tag):
         net.to_coordinator(sid, f"{tag}-rows", [list(r) for r in rows])
         gathered.extend(rows)
     return gathered
 
 
-def _halving_rows(server_views, d: int, net: Network, stream: Stream, cfg: Constants, depth: int = 0):
-    """Rows every party holds: each level's broadcast sample, scored against
-    the level below with the unsampled-row correction, or that level's rows
-    when the sample is empty; the base case broadcasts every row."""
+def _shared_gram(server_rows, d: int, net: Network, kind: str):
+    """Each server with rows sends the exact Gram of them; the coordinator
+    sends every server the sum.  Returns (sum, row count), or ([], 0)."""
+    total = [[0] * d for _ in range(d)]
+    count = 0
+    for sid, rows in server_rows:
+        if rows:
+            local = net.to_coordinator(sid, kind, gram(rows))
+            total = [[u + v for u, v in zip(tr, lr)] for tr, lr in zip(total, local)]
+            count += len(rows)
+    if not count:
+        return [], 0
+    return net.to_all_servers(kind, total), count
+
+
+def _halving_gram(server_views, d: int, net: Network, stream: Stream, cfg: Constants, depth: int = 0):
+    """(Gram every party holds, number of rows behind it).
+
+    Each level draws rows scored against the level below's Gram, with the
+    unsampled-row correction, and shares their Gram; it keeps the level
+    below's when it draws none.  The base case shares the Gram of every row.
+    """
     n = sum(len(v) for v in server_views)
     threshold = LEVERAGE_C0 * d * max(1, math.ceil(math.log2(d + 1)))
     if n <= threshold:
-        gathered = net.gather("base-rows", server_views)
-        net.to_all_servers("base-rows", [list(r) for r in gathered])
-        return gathered
+        return _shared_gram(enumerate(server_views, start=1), d, net, "base-gram")
 
     # Halve locally, recurse on the sampled halves.
     child_views = []
@@ -159,7 +204,7 @@ def _halving_rows(server_views, d: int, net: Network, stream: Stream, cfg: Const
         mask[keep] = True
         sampled_masks.append(mask)
         child_views.append([view[i] for i in keep])
-    tilde_prime = _halving_rows(child_views, d, net, stream, cfg, depth + 1)
+    g_prime, rows_prime = _halving_gram(child_views, d, net, stream, cfg, depth + 1)
 
     plans = []
     log_d = max(1.0, math.log2(d + 1))
@@ -167,7 +212,7 @@ def _halving_rows(server_views, d: int, net: Network, stream: Stream, cfg: Const
         if not view:
             plans.append(None)
             continue
-        tau = leverage_scores_float(view, tilde_prime)
+        tau = leverage_scores_float(view, g_prime)
         eff = np.where(
             mask,
             tau,
@@ -180,23 +225,24 @@ def _halving_rows(server_views, d: int, net: Network, stream: Stream, cfg: Const
         vals = tuple(_pow2_round_up(max(r, 2 ** -80), "l2") for r in raw)
         plans.append(SamplingPlan(vals, "l2", math.ceil(sum(vals))))
 
-    tilde = _distributed_sample(server_views, plans, net, stream, f"lev{depth}")
-    net.to_all_servers(f"lev{depth}-rows", [list(r) for r in tilde])
-    return tilde or tilde_prime
+    draws = _distributed_draws(server_views, plans, net, stream, f"lev{depth}")
+    g_level, rows_level = _shared_gram(draws, d, net, f"lev{depth}-gram")
+    return (g_level, rows_level) if rows_level else (g_prime, rows_prime)
 
 
 def leverage_protocol(server_views, d: int, net: Network, stream: Stream, cfg: Constants):
     """Approximate leverage scores by recursive halving.
 
-    Returns (tilde_rows, per-server score arrays).  tilde approximates the
-    stacked view in the spectral sense; each server scores its rows against it.
+    Returns (number of rows behind the shared Gram, per-server score arrays).
+    The shared Gram approximates the stacked view's in the spectral sense;
+    each server scores its rows against it.
     """
-    tilde = _halving_rows(server_views, d, net, stream, cfg)
+    g, n_rows = _halving_gram(server_views, d, net, stream, cfg)
     taus = [
-        leverage_scores_float(view, tilde) if view else np.zeros(0)
+        leverage_scores_float(view, g) if view else np.zeros(0)
         for view in server_views
     ]
-    return tilde, taus
+    return n_rows, taus
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +290,7 @@ def lewis_weights_local(rows) -> np.ndarray:
     w = np.ones(len(a))
     for _ in range(lewis_iterations(len(a))):
         scaled = a / np.sqrt(w)[:, None]
-        tau = leverage_scores_float(scaled, scaled)
+        tau = leverage_scores_float(scaled, scaled.T @ scaled)
         tau = np.clip(np.where(np.isfinite(tau), tau, 1.0), 0.0, 1.0)
         w = np.clip(np.sqrt(w * tau), 1e-300, 1.0)
     return w
@@ -265,12 +311,12 @@ def leverage_protocol_entry(
     instance: Instance, net: Network, stream: Stream, cfg: Constants
 ) -> ProtocolOutcome:
     views = _views_from_instance(instance, augmented=False)
-    tilde, taus = leverage_protocol(views, instance.d, net, stream, cfg)
+    tilde_rows, taus = leverage_protocol(views, instance.d, net, stream, cfg)
     flat = [float(t) for tau in taus for t in tau]
     return ProtocolOutcome(
         "OK",
         value=float(sum(min(t, 1.0) for t in flat)),
-        extra={"tilde_rows": len(tilde), "scores": flat},
+        extra={"tilde_rows": tilde_rows, "scores": flat},
     )
 
 

@@ -17,6 +17,7 @@ from commopt import registry
 from commopt.commsim import run_protocol
 from commopt.exactnum import (
     INFEASIBLE,
+    gram,
     min_norm_least_squares,
     rank_and_solve,
 )
@@ -191,7 +192,7 @@ def test_criterion_04_sampling_sandwich():
     for t in range(trials):
         rows = [tuple(stream.randint(-64, 64) for _ in range(d)) for _ in range(n)]
         a = np.array(rows, dtype=float)
-        tau = leverage_scores_float(rows, rows)
+        tau = leverage_scores_float(rows, gram(rows))
         target = c_const * math.log2(d + 1) * eps ** -2 * float(np.sum(np.minimum(tau, 1.0)))
         plan = make_plan(list(tau), target, "l2")
         sa = np.array(plan.draw(rows, plan.N, stream.split("draw", t)), dtype=float)
@@ -526,12 +527,12 @@ DETERMINISM_DIGESTS = {
         "db6f1f82d27ed885e375964e97a8aba976d3d4a31360e1b498dd66042a1e6e9b",
     ),
     "leverage": (
-        "3fe346160d5c312e1643fa191e83c1c3dfb3d586e6236ba697c0147be47308c0",
-        "b450c18ec8cca4e56cc01cd00f716fb5147dd0b836f3c4cb3d4957d92cd0425a",
+        "c9f25dec3f53ee54699050ec8c18069a95888dcf9f5c2bd668e2b17479b271e7",
+        "31cf34cb039991c75d789eea7da5eb8ab70c05672d3b03dd7567614377e921e0",
     ),
     "lewis": (
-        "2a94ce91bf69c1e40996b5dcfe9458c6d777662c0dc2dcb3611e6c7efe894133",
-        "62957589ff39a52097a317142aef507ef52784dc397d7a12d82cceefcaf05f93",
+        "11171031ffa1297fcaaf0a1c503f3b5475ef8105c371a0f5bd82f3efc5db4908",
+        "9251f942a7097b2ebc359961f8e2a1773d6459969809d114275c90dab82250bb",
     ),
 }
 
@@ -564,3 +565,35 @@ def test_determinism_set_digest(name, spec, params):
         hashlib.sha256(text.encode()).hexdigest() for text in (out.signature(), transcript.to_csv())
     )
     assert digests == DETERMINISM_DIGESTS[name]
+
+
+# The sampling branches of l2-sampled and l1-lewis, which the determinism
+# set's instances (n below each protocol's target) never reach.  Kept out of
+# DETERMINISM_DIGESTS, whose keys are exactly the registry's names.
+SAMPLING_BRANCH_SET = [
+    ("l2-sampled", GenSpec("regression", n=300, d=3, L=6, s=2, seed=5), {"eps": 0.5}),
+    ("l1-lewis", GenSpec("regression", n=300, d=2, L=5, s=2, seed=7), {"eps": 0.5}),
+]
+
+SAMPLING_BRANCH_DIGESTS = {
+    "l2-sampled": (
+        "a980d6deb806f629321c40079490bc9ef104718997f91da43086656943fde46d",
+        "bc876d521d0afd158282d55b3220eee3cb3e13194424f840cf9df5a25d4559db",
+    ),
+    "l1-lewis": (
+        "0b4434815546874fbe82bca2e7418ae09c6c0a6d355b38b811017fdddb0f63b5",
+        "d5d563dd1dccf88bf2ab447cbd7d704f217cced2950541d391cc4df7f907ad84",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, spec, params", SAMPLING_BRANCH_SET, ids=[name for name, _, _ in SAMPLING_BRANCH_SET]
+)
+def test_sampling_branch_digest(name, spec, params):
+    out, transcript = run_protocol(name, gen_random(spec), seed=99, **params)
+    assert transcript.count_kind("lev0-gram") > 0  # the sampling branch ran
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest() for text in (out.signature(), transcript.to_csv())
+    )
+    assert digests == SAMPLING_BRANCH_DIGESTS[name]

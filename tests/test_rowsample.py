@@ -1,14 +1,17 @@
 """Leverage-score recursion, Lewis weights, and sampling plans and their draws."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commopt.commsim import Network, run_protocol
+from commopt.commsim import COORDINATOR, MODES, Network, run_protocol
 from commopt.config import DEFAULTS
-from commopt.exactnum import leverage_scores
+from commopt.exactnum import INFINITY, gram, leverage_scores
 from commopt.instances import GenSpec, gen_random
 from commopt.rng import Stream
 from commopt.rowsample import (
@@ -31,23 +34,62 @@ def test_float_scorer_matches_exact():
     stream = Stream(1).split("flev")
     rows = [[stream.randint(-6, 6) for _ in range(3)] for _ in range(8)]
     exact = leverage_scores(rows)
-    approx = leverage_scores_float(rows, rows)
+    approx = leverage_scores_float(rows, gram(rows))
     for e, a in zip(exact, approx):
         assert abs(float(e) - a) < 1e-9
 
 
 def test_float_scorer_escape_matches_exact():
-    assert leverage_scores_float([[0, 1]], [[1, 0]])[0] == math.inf
+    assert leverage_scores_float([[0, 1]], gram([[1, 0]]))[0] == math.inf
+
+
+@st.composite
+def scorer_cases(draw):
+    """Small integer rows A and B, B often rank-deficient, A holding zero
+    rows, rows of B, sums of two of them and free rows; one common scale."""
+    d = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    base = draw(st.lists(row, max_size=7))
+    if base and draw(st.booleans()):  # a zero column: rank(B) < d
+        j = draw(st.integers(0, d - 1))
+        base = [r[:j] + [0] + r[j + 1:] for r in base]
+    kinds = [row, st.just([0] * d)]
+    if base:
+        member = st.sampled_from(base)
+        kinds += [member, st.tuples(member, member).map(lambda p: [u + v for u, v in zip(*p)])]
+    a = draw(st.lists(st.one_of(kinds), min_size=1, max_size=6))
+    # 3^360 puts every nonzero Gram entry above 2^1100; 3^700 puts the rows
+    # themselves beyond double range.
+    scale = draw(st.sampled_from([1, 3 ** 360, 3 ** 700]))
+    return [[v * scale for v in r] for r in a], [[v * scale for v in r] for r in base]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scorer_cases())
+def test_float_scorer_matches_exact_scorer(case):
+    a, base = case
+    exact = leverage_scores(a, base=base)
+    got = leverage_scores_float(a, gram(base))
+    for row, e, f in zip(a, exact, got):
+        if e == INFINITY:
+            assert f == math.inf
+        elif not any(row):
+            assert f == 0.0
+        else:
+            assert f == pytest.approx(float(e), rel=1e-6)
 
 
 def test_base_case_is_exact():
     views = [[(1, 0), (0, 1)], [(1, 1)]]
-    tilde, taus = run_leverage(views, 2)
-    assert tilde == [(1, 0), (0, 1), (1, 1)]
     full = [(1, 0), (0, 1), (1, 1)]
+    net = Network("coordinator", 2)
+    n_rows, taus = leverage_protocol(views, 2, net, Stream(0), DEFAULTS)
+    shared = [m.payload for m in net.transcript.messages if m.sender == COORDINATOR]
+    assert n_rows == 3
+    assert shared == [gram(full)] * 2
     exact = [float(t) for t in leverage_scores(full)]
     got = [float(t) for tau in taus for t in tau]
-    assert got == pytest.approx(exact, abs=1e-12)
+    assert got == pytest.approx(exact, rel=1e-12)
 
 
 def test_identity_below_threshold_scores_one():
@@ -190,7 +232,7 @@ def test_l2_subspace_embedding_sandwich():
         n, d = 200, 4
         rows = [tuple(stream.randint(-32, 32) for _ in range(d)) for _ in range(n)]
         a = np.array(rows, dtype=float)
-        tau = leverage_scores_float(rows, rows)
+        tau = leverage_scores_float(rows, gram(rows))
         target = 20.0 * math.log2(d + 1) * 4.0 * d  # C tau log d eps^-2 mass
         plan = make_plan(list(tau), target, "l2")
         sa = np.array(plan.draw(rows, plan.N, stream.split("s", t)), dtype=float)
@@ -214,3 +256,36 @@ def test_leverage_protocol_entry_registered():
     assert out.status == "OK"
     assert transcript.total_bits > 0
     assert len(out.extra["scores"]) == inst.n
+
+
+# n above every sampling target, so each protocol takes its sampling branch
+# (l2-sampled's target is 240, and 960 at c_mult = 4).
+SAMPLING_SPEC = GenSpec("regression", n=1000, d=3, L=6, s=3, seed=21)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["leverage", "lewis", "l2-sampled", "l1-lewis"])
+def test_sampling_levels_send_grams_not_rows(name, mode):
+    inst = gen_random(SAMPLING_SPEC)
+    width = inst.d + 1 if name == "l1-lewis" else inst.d  # l1-lewis weighs [A b]
+    _, transcript = run_protocol(name, inst, mode=mode, seed=5)
+    kinds = {m.kind for m in transcript.messages}
+    assert not [k for k in kinds if re.fullmatch(r"lev\d+-rows|base-rows", k)]
+    assert {"base-gram", "lev0-gram"} <= kinds
+    for m in transcript.messages:
+        if m.kind.endswith("-gram"):
+            assert len(m.payload) == width and all(len(r) == width for r in m.payload)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["leverage", "lewis", "l2-sampled"])
+def test_gram_entries_do_not_grow_with_the_sample(name, mode):
+    inst = gen_random(SAMPLING_SPEC)
+    entries, draws = [], []
+    for cfg in (DEFAULTS, DEFAULTS.with_multipliers(c_mult=4)):
+        _, transcript = run_protocol(name, inst, mode=mode, seed=5, cfg=cfg)
+        msgs = transcript.messages
+        entries.append(sum(len(m.payload) ** 2 for m in msgs if m.kind.endswith("-gram")))
+        draws.append(sum(m.payload for m in msgs if m.kind == "lev0-count"))
+    assert draws[1] > draws[0]
+    assert entries[0] == entries[1] > 0
