@@ -466,41 +466,30 @@ def smoothed_value(server_sa, server_sb, r_inv, z, lam, sigma, z0):
     return sum(pieces) + 0.5 * sigma * float(diff @ diff), pieces
 
 
-def gradient_exchange(server_sa, server_sb, r_inv, z, lam, sigma, z0):
+def gradient_exchange(server_sa, server_sb, r_inv, z, lam, sigma, z0, k):
     """One distributed gradient round: the gradient of `smoothed_value` in z.
 
-    Servers send either the signed row sums (saturated branch) or the local
-    covariance pieces (quadratic branch); both are exact integer payloads
-    whose bit size is independent of R^-1.  Returns the gradient, the
-    per-server pieces and their per-branch sums.
+    Every row's Huber derivative h'_i = clip(r_i / lam, -1, 1) enters the
+    gradient R^-T sum_i h'_i a_i + sigma (z - z0).  Returns that float
+    gradient and, per server, the message it sends: the integer d-vector
+    sum_i round(2^k h'_i) a_i, exact when `server_sa` holds int64 rows within
+    `l1_agd`'s guard.  Decoded as 2^-k R^-T (sum of the pieces) + sigma (z - z0),
+    the pieces give a gradient whose error e obeys, for x = R^-1 z and any
+    x' = R^-1 z',
+
+        |<e, z - z'>| <= 2^-(k+1) (||SA x - Sb||_1 + ||SA x' - Sb||_1),
+
+    because each h'_i moves by at most 2^-(k+1) and |<a_i, x - x'>| is at most
+    the two residuals' sum.
     """
-    d = r_inv.shape[0]
-    sign_sum = np.zeros(d)
-    cov_sum = np.zeros((d, d))
-    cross_sum = np.zeros(d)
-    per_server = []
     u = r_inv @ z
+    h_sum = np.zeros(r_inv.shape[0])
+    pieces = []
     for sa, sb in zip(server_sa, server_sb):
-        local_sign = np.zeros(d)
-        local_cov = np.zeros((d, d))
-        local_cross = np.zeros(d)
-        if len(sa):
-            res = sa @ u - sb
-            sat = np.abs(res) > lam
-            if sat.any():
-                signs = np.sign(res[sat])
-                local_sign = (signs[:, None] * sa[sat]).sum(axis=0)
-            quad = ~sat
-            if quad.any():
-                rows = sa[quad]
-                local_cov = rows.T @ rows
-                local_cross = (sb[quad][:, None] * rows).sum(axis=0)
-        per_server.append((local_sign, local_cov, local_cross))
-        sign_sum += local_sign
-        cov_sum += local_cov
-        cross_sum += local_cross
-    grad = r_inv.T @ (sign_sum + (cov_sum @ u - cross_sum) / lam) + sigma * (z - z0)
-    return grad, per_server, (sign_sum, cov_sum, cross_sum)
+        h = np.clip((sa @ u - sb) / lam, -1.0, 1.0)
+        h_sum += h @ sa
+        pieces.append((np.rint(h * 2.0**k).astype(np.int64) @ sa).tolist())
+    return r_inv.T @ h_sum + sigma * (z - z0), pieces
 
 
 def l1_agd(
@@ -512,9 +501,41 @@ def l1_agd(
     (SA)^T(SA), which the warm start already sums and broadcasts, so every
     party builds the same R without another message.
 
-    Communication per iteration is the two-branch exchange: signed row sums
-    for saturated residuals and Gram pieces for the quadratic branch, plus
-    one scalar of objective telemetry per server for the monotone safeguard.
+    Each of the N = ceil(agd_c2 d / eps) iterations is one round:
+      * every server sends its `gradient_exchange` piece, the integer d-vector
+        sum_i round(2^k h'_i) a_i (`grad`); the coordinator broadcasts the
+        exact sum (`grad-total`) and every party decodes the gradient as
+        2^-k R^-T sum + sigma (z - z0), so R^-1 never travels;
+      * every server sends [Huber piece, l1 piece] at the new iterate, each an
+        integer multiple of eta (`objective`); the coordinator broadcasts the
+        Huber total (`objective-total`), which the monotone safeguard
+        compares, and keeps the accepted iterate with the least l1 total.
+    A stage opens with every server's Huber piece at z under the stage's lam
+    (`stage-objective`, total broadcast as `stage-objective-total`), sent with
+    the stage's first gradient round, where y = z, so that the safeguard only
+    ever compares values in one encoding.
+
+    The grid.  Rounding every h'_i to a multiple of 2^-k moves the gradient
+    by an e with |<e, z - z'>| <= 2^-(k+1) (l1(x) + l1(x')) for x = R^-1 z,
+    x' = R^-1 z' (see `gradient_exchange`), so the oracle is
+    (delta, beta)-inexact in the sense of Devolder, Glineur & Nesterov
+    (Math. Program. 146, 2014) with delta = 2^(1-k) M, where M bounds the
+    sampled l1 values of the points queried; M = 2 warm_val is assumed.  A
+    fast gradient method accumulates that error at most linearly, O(N delta)
+    after N steps, and k is the least integer with
+
+        N * 2^(1-k) * (2 warm_val) <= eps * opt_est / 8.
+
+    Values take the same k: eta = 2^(floor(log2(opt_est / s)) - k), so a total
+    of s pieces is off by at most s eta / 2 <= 2^-(k+1) opt_est, the relative
+    precision of each rounded h'_i.  The coordinator, which alone holds
+    warm_val, broadcasts k once (`grid`).  Servers form their gradient pieces
+    in int64, which stays exact while 2^k sum_i max_j |a_ij| < 2^63; past that
+    the protocol raises `SizeGuardError`.
+
+    `extra["sampled_value"]` is the float sampled l1 value at the returned
+    x, summed from every server's piece after the final solution broadcast
+    (`sampled-value`).
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -539,12 +560,6 @@ def l1_agd(
             for sid, (plan, view) in enumerate(zip(plans, aug_views), start=1)
         ]
 
-    # The descent ships float-computed Gram pieces as integers.  Every partial
-    # sum of them is bounded by sum_i max|row_i|^2, and doubles hold integers
-    # exactly only below 2^53.
-    if sum(max(map(abs, row)) ** 2 for view in sampled_views for row in view) >= 2**53:
-        raise SizeGuardError("l1-agd gradient aggregates would reach 2^53 and stop being exact")
-
     sa_views = [[r[:-1] for r in view] for view in sampled_views]
     sb_views = [[r[-1] for r in view] for view in sampled_views]
     n_sampled = sum(len(v) for v in sa_views)
@@ -565,15 +580,15 @@ def l1_agd(
     sa_float = [np.asarray(v, dtype=float) if v else np.zeros((0, d)) for v in sa_views]
     sb_float = [np.asarray(v, dtype=float) if v else np.zeros(0) for v in sb_views]
 
-    def sampled_l1(xv: np.ndarray, kind: str | None = None) -> float:
-        """The sampled l1 residual at xv, summed in server order; with a kind,
-        each server sends its piece to the coordinator under that kind."""
+    def l1_pieces(xv: np.ndarray) -> list:
+        return [float(np.abs(sa @ xv - sb).sum()) for sa, sb in zip(sa_float, sb_float)]
+
+    def sampled_l1(xv: np.ndarray, kind: str) -> float:
+        """Each server sends its sampled l1 residual at xv under `kind`; the
+        coordinator sums the pieces in server order."""
         total = 0.0
-        for sid, (sa, sb) in enumerate(zip(sa_float, sb_float), start=1):
-            piece = float(np.abs(sa @ xv - sb).sum())
-            if kind:
-                net.to_coordinator(sid, kind, piece)
-            total += piece
+        for sid, piece in enumerate(l1_pieces(xv), start=1):
+            total += net.to_coordinator(sid, kind, piece)
         return total
 
     # -- Constant-factor presolve for the target scale. -----------------------
@@ -597,20 +612,38 @@ def l1_agd(
             extra={"sampled_value": warm_val, "warm_start": True, "sampled_views": sampled_views},
         )
 
+    total_iters = math.ceil(cfg.agd_c2 * d / eps)
+    per_stage = max(1, math.ceil(total_iters / AGD_STAGES))
+
+    # -- The fixed-point grid (see the docstring). ----------------------------
+    k = math.ceil(math.log2(32 * total_iters * warm_val / (eps * opt_est)))
+    net.to_all_servers("grid", k)
+    if 2**k * sum(max(map(abs, row), default=0) for rows in sa_views for row in rows) >= 2**63:
+        raise SizeGuardError("l1-agd gradient pieces would reach 2^63 and overflow int64")
+    sa_int = [np.asarray(v, dtype=np.int64).reshape(-1, d) for v in sa_views]
+    eta = 2.0 ** (math.floor(math.log2(opt_est / instance.s)) - k)
+
+    def on_grid(v: float) -> int:
+        return round(v / eta)
+
     delta = eps * opt_est
     theta = (d / max(n_sampled, d)) * opt_est * opt_est
     z0 = r_factor @ x0
     z = z0.copy()
+
+    def objective(huber_sum: int, zv: np.ndarray, sigma: float) -> float:
+        """The smoothed objective at zv from a broadcast Huber total."""
+        diff = zv - z0
+        return eta * huber_sum + 0.5 * sigma * float(diff @ diff)
+
     w_mat = r_inv.T @ g @ r_inv
     top_eig = float(np.linalg.eigvalsh(w_mat)[-1])
 
     lam_final = max(2.0 * delta / max(n_sampled, 1), 1e-12)
     lam_start = lam_final * (2.0 ** (AGD_STAGES - 1))
-    total_iters = math.ceil(cfg.agd_c2 * d / eps)
-    per_stage = max(1, math.ceil(total_iters / AGD_STAGES))
 
     best_z = z.copy()
-    best_sampled = warm_val
+    best_l1 = warm_val
     stage_log = []
     for stage in range(AGD_STAGES):
         lam = lam_start / (2.0 ** stage)
@@ -619,29 +652,31 @@ def l1_agd(
         step = 1.0 / beta
         y = z.copy()
         theta_k = 1.0
-        f_start, _ = smoothed_value(sa_float, sb_float, r_inv, z, lam, sigma, z0)
-        f_cur = f_start
+        # The stage's start value, under its own lam (see the docstring).
+        _, huber = smoothed_value(sa_float, sb_float, r_inv, z, lam, sigma, z0)
+        h_sum = sum(
+            net.to_coordinator(sid, "stage-objective", on_grid(v))
+            for sid, v in enumerate(huber, start=1)
+        )
+        f_start = f_cur = objective(net.to_all_servers("stage-objective-total", h_sum), z, sigma)
         for _ in range(per_stage):
             net.mark_round()
-            grad, per_server, aggregates = gradient_exchange(sa_float, sb_float, r_inv, y, lam, sigma, z0)
-            for sid in range(1, instance.s + 1):
-                local_sign, local_cov, local_cross = per_server[sid - 1]
-                net.to_coordinator(sid, "grad-sign", [int(round(v)) for v in local_sign])
-                net.to_coordinator(sid, "grad-cov", [[int(round(v)) for v in row] for row in local_cov])
-                net.to_coordinator(sid, "grad-cross", [int(round(v)) for v in local_cross])
-            # Servers rebuild the gradient from the exact integer aggregates;
-            # R^-1 never travels.
-            agg_sign, agg_cov, agg_cross = aggregates
-            net.to_all_servers("grad-sign-agg", [int(round(v)) for v in agg_sign])
-            net.to_all_servers("grad-cov-agg", [[int(round(v)) for v in row] for row in agg_cov])
-            net.to_all_servers("grad-cross-agg", [int(round(v)) for v in agg_cross])
+            _, pieces = gradient_exchange(sa_int, sb_float, r_inv, y, lam, sigma, z0, k)
+            grad_sum = [0] * d
+            for sid, piece in enumerate(pieces, start=1):
+                grad_sum = [a + b for a, b in zip(grad_sum, net.to_coordinator(sid, "grad", piece))]
+            net.to_all_servers("grad-total", grad_sum)
+            grad = 2.0**-k * (r_inv.T @ np.array(grad_sum, dtype=float)) + sigma * (y - z0)
             z_new = y - step * grad
             theta_new = (1.0 + math.sqrt(1.0 + 4.0 * theta_k * theta_k)) / 2.0
             y = z_new + ((theta_k - 1.0) / theta_new) * (z_new - z)
-            f_new, pieces = smoothed_value(sa_float, sb_float, r_inv, z_new, lam, sigma, z0)
-            for sid in range(1, instance.s + 1):
-                net.to_coordinator(sid, "objective-part", pieces[sid - 1])
-            net.to_all_servers("objective-total", f_new)
+            _, huber = smoothed_value(sa_float, sb_float, r_inv, z_new, lam, sigma, z0)
+            h_sum = l1_sum = 0
+            for sid, pair in enumerate(zip(huber, l1_pieces(r_inv @ z_new)), start=1):
+                h_piece, l1_piece = net.to_coordinator(sid, "objective", [on_grid(v) for v in pair])
+                h_sum += h_piece
+                l1_sum += l1_piece
+            f_new = objective(net.to_all_servers("objective-total", h_sum), z_new, sigma)
             if f_new > f_cur:
                 # Monotone safeguard: drop momentum, keep the best iterate.
                 y = z.copy()
@@ -649,12 +684,10 @@ def l1_agd(
             else:
                 z = z_new
                 f_cur = f_new
+                if eta * l1_sum < best_l1:
+                    best_l1 = eta * l1_sum
+                    best_z = z.copy()
             theta_k = theta_new
-            x_cand = r_inv @ z
-            cand_val = sampled_l1(x_cand)
-            if cand_val < best_sampled:
-                best_sampled = cand_val
-                best_z = z.copy()
         stage_log.append((f_start, f_cur, lam, sigma))
 
     x_final = r_inv @ best_z
@@ -667,7 +700,7 @@ def l1_agd(
         value=value,
         iterations=total_iters,
         extra={
-            "sampled_value": best_sampled,
+            "sampled_value": sampled_l1(x_final, "sampled-value"),
             "stages": stage_log,
             "sampled_views": sampled_views,
         },

@@ -316,7 +316,7 @@ def test_criterion_06_gradient_correctness():
         quadratic += int((np.abs(res) <= lam).any())
         # The protocol's own objective and gradient round; rows split over two servers.
         server_sa, server_sb = [sa[:4], sa[4:]], [sb[:4], sb[4:]]
-        grad, _, _ = gradient_exchange(server_sa, server_sb, r_inv, z, lam, sigma, np.zeros(d))
+        grad, _ = gradient_exchange(server_sa, server_sb, r_inv, z, lam, sigma, np.zeros(d), 16)
         h = 1e-6
         for j in range(d):
             e = np.zeros(d)
@@ -495,8 +495,8 @@ DETERMINISM_DIGESTS = {
         "b7ba9706c8b9861ab13887bae7b01d253788d85a87a51ad0325c54fcb4c4dee1",
     ),
     "l1-agd": (
-        "214d4504c2ced325077507484bf018d190358c25f72dd68a23fd5f288a1557c8",
-        "106f1a54a072d9cb95b5d6bd6efa6e100171ccae8bdf5c2096f4333ba45c4a3e",
+        "76fa457de44e4c7de95c2349c164354036953b07662ad659aafd1a1f4cbe2d73",
+        "08fdb8e5832ec61f64547577a4da08b819d722f27becbfb318c558d6769f032e",
     ),
     "linf": (
         "4599405c6858c6e2fd106e81407db5a634fcfeb4fb4da02e04a465a66d532dc4",
