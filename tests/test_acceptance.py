@@ -321,8 +321,8 @@ def test_criterion_06_gradient_correctness():
         for j in range(d):
             e = np.zeros(d)
             e[j] = h
-            fp, _ = smoothed_value(server_sa, server_sb, r_inv, z + e, lam, sigma, np.zeros(d))
-            fm, _ = smoothed_value(server_sa, server_sb, r_inv, z - e, lam, sigma, np.zeros(d))
+            fp = smoothed_value(server_sa, server_sb, r_inv, z + e, lam, sigma, np.zeros(d))
+            fm = smoothed_value(server_sa, server_sb, r_inv, z - e, lam, sigma, np.zeros(d))
             fd = (fp - fm) / (2 * h)
             worst = max(worst, abs(fd - grad[j]) / max(abs(fd), 1.0))
     ok = worst < 1e-4 and saturated > 0 and quadratic > 0
@@ -495,8 +495,8 @@ DETERMINISM_DIGESTS = {
         "b7ba9706c8b9861ab13887bae7b01d253788d85a87a51ad0325c54fcb4c4dee1",
     ),
     "l1-agd": (
-        "76fa457de44e4c7de95c2349c164354036953b07662ad659aafd1a1f4cbe2d73",
-        "08fdb8e5832ec61f64547577a4da08b819d722f27becbfb318c558d6769f032e",
+        "7e0e6abf7f7b3a0332c35d0347ccf6eac9daa022fd793127489c003b0fc2a25b",
+        "064c97d287d584f0d30a484f9f83effda06bf3ef7c7a9ab5dc0b3f8c4348c5b4",
     ),
     "linf": (
         "4599405c6858c6e2fd106e81407db5a634fcfeb4fb4da02e04a465a66d532dc4",

@@ -384,8 +384,8 @@ def test_smoothed_gradient_finite_differences():
         for j in range(d):
             e = np.zeros(d)
             e[j] = h
-            fp, _ = smoothed_value([sa], [sb], r_inv, z + e, lam, sigma, z0)
-            fm, _ = smoothed_value([sa], [sb], r_inv, z - e, lam, sigma, z0)
+            fp = smoothed_value([sa], [sb], r_inv, z + e, lam, sigma, z0)
+            fm = smoothed_value([sa], [sb], r_inv, z - e, lam, sigma, z0)
             fd = (fp - fm) / (2 * h)
             denom = max(abs(fd), 1.0)
             worst = max(worst, abs(fd - grad[j]) / denom)
@@ -491,13 +491,47 @@ def test_l1_agd_exact_fit_warm_start():
     assert out.x[1] == pytest.approx(-2.0, abs=1e-6)
 
 
-def test_l1_agd_stage_objective_monotone():
-    inst = gen_random(GenSpec("regression", n=80, d=3, L=4, s=3, seed=41))
-    out, _ = run_protocol("l1-agd", inst, seed=4, eps=0.25)
-    # f_start and f_end are the broadcast grid totals the safeguard compares.
-    assert len(out.extra["stages"]) == regression.AGD_STAGES
-    for f_start, f_end, _, _ in out.extra["stages"]:
-        assert f_end <= f_start
+def _check_stage_pick(out, transcript, s):
+    # The warm start's s `warm-value` pieces and each stage's s `stage-value`
+    # pieces, each total summed in server order as the coordinator does.
+    # extra["sampled_value"] is the least total, and out.x is the x it was
+    # sent at: x0 from `warm-start`, or the stage's R^-1 z.
+    pieces = {"warm-value": [], "stage-value": []}
+    for m in transcript.messages:
+        if m.kind in pieces:
+            pieces[m.kind].append(m.payload)
+    warm, stages = pieces["warm-value"], pieces["stage-value"]
+    assert len(warm) == s and len(stages) == s * regression.AGD_STAGES
+    totals = []
+    for group in [warm] + [stages[i:i + s] for i in range(0, len(stages), s)]:
+        total = 0.0
+        for piece in group:
+            total += piece
+        totals.append(total)
+    assert out.extra["sampled_value"] == min(totals)
+    x = np.array(out.x)
+    at_x = [
+        float(np.abs(np.asarray(view)[:, :-1] @ x - np.asarray(view)[:, -1]).sum()) if view else 0.0
+        for view in out.extra["sampled_views"]
+    ]
+    best = totals.index(min(totals))
+    group = warm if best == 0 else stages[(best - 1) * s:best * s]
+    assert at_x == pytest.approx(group, rel=1e-12, abs=1e-12)
+    if best == 0:
+        warm_start = [m.payload for m in transcript.messages if m.kind == "warm-start"][0]
+        assert list(out.x) == warm_start
+    return best
+
+
+def test_l1_agd_picks_least_stage_value():
+    picks = []
+    for seed in (9, 14, 19, 20):
+        inst = gen_random(GenSpec("regression", n=200, d=3, L=6, s=4, seed=33_000 + seed))
+        out, transcript = run_protocol("l1-agd", inst, seed=seed, eps=0.25)
+        picks.append(_check_stage_pick(out, transcript, inst.s))
+    # These runs pick the warm start, an earlier stage and the last stage.
+    assert 0 in picks and regression.AGD_STAGES in picks
+    assert any(0 < p < regression.AGD_STAGES for p in picks)
 
 
 def test_l1_agd_near_optimal_on_sample():
@@ -537,8 +571,8 @@ def test_l1_agd_sends_presolve_and_warm_values():
 
 
 def test_l1_agd_sampled_value_is_sent_at_returned_x():
-    # Servers send their float l1 pieces at the returned x after the final
-    # solution broadcast; the coordinator's sum is extra["sampled_value"].
+    # extra["sampled_value"] is the sampled l1 at the returned x, and it is the
+    # least l1 total the servers sent (see `_check_stage_pick`).
     for seed in range(3):
         inst = gen_random(GenSpec("regression", n=80, d=3, L=5, s=3, seed=950 + seed))
         out, transcript = run_protocol("l1-agd", inst, seed=seed, eps=0.25)
@@ -550,14 +584,13 @@ def test_l1_agd_sampled_value_is_sent_at_returned_x():
                 rows = np.asarray(view)
                 expected += float(np.abs(rows[:, :-1] @ x - rows[:, -1]).sum())
         assert out.extra["sampled_value"] == pytest.approx(expected, rel=1e-9)
-        pieces = [m.payload for m in transcript.messages if m.kind == "sampled-value"]
-        assert len(pieces) == inst.s and sum(pieces) == out.extra["sampled_value"]
+        _check_stage_pick(out, transcript, inst.s)
 
 
 def test_l1_agd_message_shapes():
-    # Per iteration: one grad d-vector of ints and one [Huber, l1] pair of ints
-    # per server, one d-int total and one int total from the coordinator.  No
-    # d x d payload follows gram-total.
+    # Per iteration: one grad d-vector of ints per server and one d-int total
+    # from the coordinator to each; per stage, one float l1 piece per server.
+    # No value travels per iteration, and no d x d payload follows gram-total.
     inst = gen_random(GenSpec("regression", n=60, d=2, L=4, s=3, seed=900))
     out, transcript = run_protocol("l1-agd", inst, seed=0, eps=0.25)
     s, d, rounds = inst.s, inst.d, transcript.rounds
@@ -569,13 +602,14 @@ def test_l1_agd_message_shapes():
     def ints(payload, size):
         return len(payload) == size and all(type(v) is int for v in payload)
 
-    per_round = {"grad": d, "grad-total": d, "objective": 2, "objective-total": None}
-    for kind, size in per_round.items():
+    for kind in ("grad", "grad-total"):
         msgs = by_kind[kind]
         assert len(msgs) == s * rounds
-        assert all(type(m.payload) is int if size is None else ints(m.payload, size) for m in msgs)
-    for kind in ("stage-objective", "stage-objective-total"):
-        assert len(by_kind[kind]) == s * regression.AGD_STAGES
+        assert all(ints(m.payload, d) for m in msgs)
+    stage_values = by_kind["stage-value"]
+    assert len(stage_values) == s * regression.AGD_STAGES
+    assert all(type(m.payload) is float for m in stage_values)
+    assert not [kind for kind in by_kind if "objective" in kind or kind == "sampled-value"]
     grads = [m.payload for m in by_kind["grad"]]
     totals = [m.payload for m in by_kind["grad-total"]]
     for r in range(rounds):
