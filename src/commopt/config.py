@@ -15,9 +15,11 @@ from dataclasses import dataclass, replace
 class Constants:
     # Universal sampling constant for both concentration-based samplers.
     sampling_c: float = 20.0
-    # Repetitions K of the random F_p probe per server in linsys-solve-rand:
-    # a server's turn ends after K probes in a row that add nothing, so a
-    # server with an equation outside the span is missed with prob. <= p^-K.
+    # Repetitions K of the random F_p probe per server in both randomized
+    # linear-system protocols (linsys-solve-rand, and linsys-feas-rand in
+    # coordinator mode): a server's turn ends after K probes in a row that
+    # add nothing, so a server with an equation outside the span is missed
+    # with prob. <= p^-K.
     k_reps: int = 1
     # AGD iteration budget factor: iterations = ceil(agd_c2 * d / eps).
     agd_c2: float = 8.0

@@ -81,13 +81,13 @@ def gram(rows: Sequence[Sequence]) -> list[list]:
 class RowBasis:
     """Incrementally maintained row space in fraction-free reduced echelon form.
 
-    Rows are held as integers.  Q (`p=None`) and F_p share one elimination,
-    ``row * lead - f * pivot``, and differ only in the tidy step: over Q the
-    result is divided by its content, over F_p each entry is reduced mod p
-    in the same pass.  A rational input row is cleared of denominators
-    (`clear_denominators`); mod-p callers pass integer rows.  Supports the
-    independence and consistency tests every protocol needs on augmented
-    rows [a | beta].
+    Rows are held as integers.  Over Q (`p=None`) an elimination step is
+    ``row * lead - f * pivot`` divided by its content.  Over F_p every pivot
+    is scaled to lead with 1, so a step is ``row - f * pivot`` with each
+    entry reduced mod p in the same pass.  A rational input row is cleared
+    of denominators (`clear_denominators`); mod-p callers pass integer rows,
+    which are only reduced mod p.  Supports the independence and consistency
+    tests every protocol needs on augmented rows [a | beta].
     """
 
     def __init__(self, p: int | None = None):
@@ -104,13 +104,13 @@ class RowBasis:
     def _eliminate(self, row: list[int], piv: list[int], col: int) -> list[int]:
         """`row` with its entry in pivot column `col` cleared by pivot row `piv`."""
         f, lead = row[col], piv[col]
-        if self.p is not None:  # tidied in the same pass
-            return [(a * lead - f * b) % self.p for a, b in zip(row, piv)]
+        if self.p is not None:  # the pivot leads with 1; tidied in the same pass
+            return [(a - f * b) % self.p for a, b in zip(row, piv)]
         return self._tidy([a * lead - f * b for a, b in zip(row, piv)])
 
     def residual(self, row: Sequence) -> list[int]:
         """Integer row proportional to `row` reduced against every pivot."""
-        work = self._tidy(clear_denominators(row))
+        work = self._tidy(row if self.p is not None else clear_denominators(row))
         # Reduced echelon form: pivot rows vanish in each other's pivot
         # columns, so the pivots may be applied in any order.
         for col, piv in self.pivots.items():
@@ -130,6 +130,9 @@ class RowBasis:
         col = next((c for c, v in enumerate(work) if v), None)
         if col is None:
             return False
+        if self.p is not None:
+            inv = pow(work[col], -1, self.p)
+            work = [v * inv % self.p for v in work]
         for c, piv in self.pivots.items():
             if piv[col]:
                 self.pivots[c] = self._eliminate(piv, work, col)

@@ -472,7 +472,7 @@ DETERMINISM_DIGESTS = {
     ),
     "linsys-feas-rand": (
         "bf655028bef8541c04eabfe85c5956762333b2e05919c6c01aaa7f9e2cc0c969",
-        "827641b5e5e968b8da33222d4816d9dd39b623474672f0714cb5c57146300e64",
+        "d95f9ba93e9fee3418049827ffd899078d5c130b380b59e9aee5f2370143dac9",
     ),
     "linsys-solve-rand": (
         "630612272b19e51cbe88bec08fb888b949ba53cc16e2c12db82a41986135ac24",
@@ -597,3 +597,34 @@ def test_sampling_branch_digest(name, spec, params):
         hashlib.sha256(text.encode()).hexdigest() for text in (out.signature(), transcript.to_csv())
     )
     assert digests == SAMPLING_BRANCH_DIGESTS[name]
+
+
+# linsys-feas-rand on a blackboard, where servers publish their new residue
+# rows directly instead of probing: one feasible and one infeasible instance.
+BLACKBOARD_FEASIBILITY_SET = [
+    ("feasible", GenSpec("linsys", n=8, d=3, L=8, s=2, seed=2)),
+    ("infeasible", GenSpec("linsys", n=12, d=3, L=8, s=4, seed=2, feasible=False)),
+]
+
+BLACKBOARD_FEASIBILITY_DIGESTS = {
+    "feasible": (
+        "bf655028bef8541c04eabfe85c5956762333b2e05919c6c01aaa7f9e2cc0c969",
+        "dda8674cb52bcfa6ab09b6a962e5fd734cf60c4ac0eeaf870eb80da3b68412e9",
+    ),
+    "infeasible": (
+        "9f5dc35cb56d1380d90df0e573c1c4a245a3293a34bf0352b81c941a28bd278e",
+        "2848896c36f56bf514398dad8709fce24d7bb990c0ce562194aa32565e20c0dd",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, spec", BLACKBOARD_FEASIBILITY_SET, ids=[case for case, _ in BLACKBOARD_FEASIBILITY_SET]
+)
+def test_blackboard_feasibility_digest(case, spec):
+    out, transcript = run_protocol("linsys-feas-rand", gen_random(spec), mode="blackboard", seed=99)
+    assert transcript.count_kind("equation-mod-p") > 0  # the publishing path ran
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest() for text in (out.signature(), transcript.to_csv())
+    )
+    assert digests == BLACKBOARD_FEASIBILITY_DIGESTS[case]

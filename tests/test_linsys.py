@@ -5,6 +5,7 @@ from commopt.exactnum import INFEASIBLE, is_prime
 from commopt.instances import GenSpec, Instance, gen_random
 from commopt.linsys import verify_solution
 from commopt.rng import Stream
+from test_acceptance import _fit_slope
 
 
 def make_instance(rows, rhs, partition, d=None, L=8, kind="linsys"):
@@ -109,6 +110,65 @@ def test_rand_solve_quiet_server_sends_one_probe():
             if m.sender.kind == "server" and m.sender.index == 2
         ]
         assert from_s2 == ["combo-mod-p"]
+
+
+def test_rand_feasibility_quiet_server_sends_one_probe():
+    # Coordinator mode runs rand_solve's probe loop mod p with no promotion:
+    # server 2's rows lie in span(C), so it spends exactly one mod-p probe.
+    inst = make_instance(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [2, -1, 3]],
+        [1, 2, 3, 3, 9],
+        [1, 1, 1, 2, 2],
+    )
+    for seed in range(10):
+        out, transcript = run_protocol("linsys-feas-rand", inst, seed=seed)
+        assert out.status == "FEASIBLE"
+        from_s2 = [
+            m.kind
+            for m in transcript.messages
+            if m.sender.kind == "server" and m.sender.index == 2
+        ]
+        assert from_s2 == ["combo-mod-p"]
+
+
+def test_rand_feasibility_coordinator_sends_only_residue_probes():
+    # No residue row is relayed between servers: servers send mod-p probes
+    # (or a 1-bit verdict), and the coordinator sends the prime, 1-bit
+    # replies and verdicts.
+    for seed in range(20):
+        inst = gen_random(
+            GenSpec("linsys", n=12, d=4, L=8, s=4, seed=300 + seed, feasible=seed % 2 == 0)
+        )
+        _, transcript = run_protocol("linsys-feas-rand", inst, seed=seed)
+        assert transcript.count_kind("equation-mod-p") == 0
+        assert transcript.count_kind("combo-mod-p") > 0
+        for m in transcript.messages:
+            if m.sender.kind == "coordinator":
+                assert m.kind == "prime" or m.bits == 1, m
+            else:
+                assert m.kind == "combo-mod-p" or m.bits == 1, m
+
+
+def test_rand_feasibility_s_slope_below_det():
+    # Criterion 03's instances and seeds: the probe loop's bits grow with s
+    # at most a quarter as fast as the deterministic protocol's.
+    d, L = 8, 16
+    svals = [2, 4, 8, 16, 32, 64]
+    det_bits, feas_bits = [], []
+    for s in svals:
+        db = fb = 0
+        for seed in range(3):
+            inst = gen_random(
+                GenSpec("linsys", n=2 * s, d=d, L=L, s=s, seed=20_000 + seed, feasible=True)
+            )
+            _, t_det = run_protocol("linsys-det", inst, seed=seed)
+            _, t_feas = run_protocol("linsys-feas-rand", inst, mode="coordinator", seed=seed)
+            db += t_det.total_bits
+            fb += t_feas.total_bits
+        det_bits.append(db / 3)
+        feas_bits.append(fb / 3)
+    ratio = _fit_slope(svals, feas_bits) / _fit_slope(svals, det_bits)
+    assert ratio <= 0.25, ratio
 
 
 def test_rand_solve_equation_entry_bits_bounded():
