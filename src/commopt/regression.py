@@ -468,11 +468,12 @@ def gradient_exchange(server_sa, server_sb, r_inv, z, lam, sigma, z0, k):
 
     Every row's Huber derivative h'_i = clip(r_i / lam, -1, 1) enters the
     gradient R^-T sum_i h'_i a_i + sigma (z - z0).  Returns that float
-    gradient and, per server, the message it sends: the integer d-vector
+    gradient and, per server, the piece it computes: the integer d-vector
     sum_i round(2^k h'_i) a_i, exact when `server_sa` holds int64 rows within
-    `l1_agd`'s guard.  Decoded as 2^-k R^-T (sum of the pieces) + sigma (z - z0),
-    the pieces give a gradient whose error e obeys, for x = R^-1 z and any
-    x' = R^-1 z',
+    `l1_agd`'s guard; what travels is its difference from the server's
+    previous piece, or a 1-bit `None` if equal.  Decoded as 2^-k R^-T (sum of
+    the pieces) + sigma (z - z0), the pieces give a gradient whose error e
+    obeys, for x = R^-1 z and any x' = R^-1 z',
 
         |<e, z - z'>| <= 2^-(k+1) (||SA x - Sb||_1 + ||SA x' - Sb||_1),
 
@@ -489,6 +490,14 @@ def gradient_exchange(server_sa, server_sb, r_inv, z, lam, sigma, z0, k):
     return r_inv.T @ h_sum + sigma * (z - z0), pieces
 
 
+def _delta_send(prev: list, new: list, send, *address) -> list:
+    """Send int vector `new` as `send(*address, new - prev)`, or 1-bit `None` if
+    unchanged, and return what the receiver decodes: prev plus the difference."""
+    diff = [a - b for a, b in zip(new, prev)]
+    got = send(*address, diff if any(diff) else None)
+    return prev if got is None else [a + b for a, b in zip(prev, got)]
+
+
 def l1_agd(
     instance: Instance, net: Network, stream: Stream, cfg: Constants, eps: float = 0.25
 ) -> ProtocolOutcome:
@@ -499,11 +508,14 @@ def l1_agd(
     party builds the same R without another message.
 
     Each of the N = ceil(agd_c2 d / eps) iterations is one round: every server
-    sends its `gradient_exchange` piece, the integer d-vector
-    sum_i round(2^k h'_i) a_i (`grad`); the coordinator broadcasts the exact
-    sum (`grad-total`) and every party decodes the gradient as
-    2^-k R^-T sum + sigma (z - z0), so R^-1 never travels, and takes the
-    accelerated step.
+    computes its `gradient_exchange` piece, the integer d-vector
+    sum_i round(2^k h'_i) a_i, and sends its difference from the server's
+    previous piece (`grad`); the coordinator adds each to that server's
+    previous piece and broadcasts the sum's difference from its previous sum
+    (`grad-total`), an all-zero difference as a 1-bit `None`, all from zero
+    at the start.  Every party decodes the exact sum, in Python ints, and the
+    gradient 2^-k R^-T sum + sigma (z - z0), so R^-1 never travels, and takes
+    the accelerated step.
 
     No iteration sends a value.  Within a stage the objective F is
     `smoothed_value` under that stage's lam and sigma, smooth with constant
@@ -632,6 +644,7 @@ def l1_agd(
     lam_start = lam_final * (2.0 ** (AGD_STAGES - 1))
 
     best_x, best_l1 = x0, warm_val
+    sent, sent_total = [[0] * d for _ in sa_int], [0] * d  # last pieces and total, as decoded
     for stage in range(AGD_STAGES):
         lam = lam_start / (2.0 ** stage)
         sigma = delta / max(theta, 1e-12) / (2.0 ** stage)
@@ -642,11 +655,11 @@ def l1_agd(
         for _ in range(per_stage):
             net.mark_round()
             _, pieces = gradient_exchange(sa_int, sb_float, r_inv, y, lam, sigma, z0, k)
-            grad_sum = [0] * d
             for sid, piece in enumerate(pieces, start=1):
-                grad_sum = [a + b for a, b in zip(grad_sum, net.to_coordinator(sid, "grad", piece))]
-            net.to_all_servers("grad-total", grad_sum)
-            grad = 2.0**-k * (r_inv.T @ np.array(grad_sum, dtype=float)) + sigma * (y - z0)
+                sent[sid - 1] = _delta_send(sent[sid - 1], piece, net.to_coordinator, sid, "grad")
+            grad_sum = [sum(col) for col in zip(*sent)]
+            sent_total = _delta_send(sent_total, grad_sum, net.to_all_servers, "grad-total")
+            grad = 2.0**-k * (r_inv.T @ np.array(sent_total, dtype=float)) + sigma * (y - z0)
             z_new = y - step * grad
             theta_new = (1.0 + math.sqrt(1.0 + 4.0 * theta_k * theta_k)) / 2.0
             y = z_new + ((theta_k - 1.0) / theta_new) * (z_new - z)

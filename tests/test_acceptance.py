@@ -496,7 +496,7 @@ DETERMINISM_DIGESTS = {
     ),
     "l1-agd": (
         "7e0e6abf7f7b3a0332c35d0347ccf6eac9daa022fd793127489c003b0fc2a25b",
-        "064c97d287d584f0d30a484f9f83effda06bf3ef7c7a9ab5dc0b3f8c4348c5b4",
+        "37a4623261529f3bb731e7f90081464329aa85b12fb19c186558382f7abdca55",
     ),
     "linf": (
         "4599405c6858c6e2fd106e81407db5a634fcfeb4fb4da02e04a465a66d532dc4",

@@ -587,10 +587,26 @@ def test_l1_agd_sampled_value_is_sent_at_returned_x():
         _check_stage_pick(out, transcript, inst.s)
 
 
+def _agd_loop_decoded(transcript, d):
+    """Replay l1-agd's delta-coded loop: every `grad` and `grad-total` message,
+    in order, with the whole piece or total its receiver decodes, the running
+    sum of the differences on that sender-receiver leg."""
+    last, decoded = {}, []
+    for m in transcript.messages:
+        if m.kind in ("grad", "grad-total"):
+            leg = (m.kind, m.sender, m.receiver)
+            last[leg] = [a + b for a, b in zip(last.get(leg, [0] * d), m.payload or [0] * d)]
+            decoded.append((m, last[leg]))
+    return decoded
+
+
 def test_l1_agd_message_shapes():
-    # Per iteration: one grad d-vector of ints per server and one d-int total
-    # from the coordinator to each; per stage, one float l1 piece per server.
-    # No value travels per iteration, and no d x d payload follows gram-total.
+    # Per iteration: one grad message per server and one grad-total from the
+    # coordinator to each; per stage, one float l1 piece per server.  Each grad
+    # or grad-total payload is the difference from the sender's previous piece
+    # or total on that leg: a d-vector of ints with a nonzero entry, or a 1-bit
+    # None when nothing changed.  No value travels per iteration, and no d x d
+    # payload follows gram-total.
     inst = gen_random(GenSpec("regression", n=60, d=2, L=4, s=3, seed=900))
     out, transcript = run_protocol("l1-agd", inst, seed=0, eps=0.25)
     s, d, rounds = inst.s, inst.d, transcript.rounds
@@ -605,21 +621,52 @@ def test_l1_agd_message_shapes():
     for kind in ("grad", "grad-total"):
         msgs = by_kind[kind]
         assert len(msgs) == s * rounds
-        assert all(ints(m.payload, d) for m in msgs)
+        assert all(m.payload is None or (ints(m.payload, d) and any(m.payload)) for m in msgs)
+        assert all(m.bits == 1 for m in msgs if m.payload is None)
     stage_values = by_kind["stage-value"]
     assert len(stage_values) == s * regression.AGD_STAGES
     assert all(type(m.payload) is float for m in stage_values)
     assert not [kind for kind in by_kind if "objective" in kind or kind == "sampled-value"]
-    grads = [m.payload for m in by_kind["grad"]]
-    totals = [m.payload for m in by_kind["grad-total"]]
+    # Each round, servers 1..s send their differences, then every server
+    # decodes a total equal to the sum of that round's decoded pieces.
+    decoded = _agd_loop_decoded(transcript, d)
     for r in range(rounds):
-        summed = [sum(col) for col in zip(*grads[r * s:(r + 1) * s])]
-        assert all(t == summed for t in totals[r * s:(r + 1) * s])
+        grads, totals = decoded[2 * s * r:2 * s * r + s], decoded[2 * s * r + s:2 * s * (r + 1)]
+        assert [(m.kind, m.sender.index) for m, _ in grads] == [("grad", i) for i in range(1, s + 1)]
+        assert [(m.kind, m.receiver.index) for m, _ in totals] == [
+            ("grad-total", i) for i in range(1, s + 1)
+        ]
+        summed = [sum(col) for col in zip(*(piece for _, piece in grads))]
+        assert all(total == summed for _, total in totals)
     # After gram-total the only matrix payload is the presolve's rows, d + 1 wide.
     after = transcript.messages[transcript.messages.index(by_kind["gram-total"][-1]) + 1:]
     matrices = [m for m in after if isinstance(m.payload, list) and isinstance(m.payload[0], list)]
     assert {m.kind for m in matrices} == {"presolve-sketch"}
     assert all(len(row) == d + 1 for m in matrices for row in m.payload)
+
+
+def test_l1_agd_delta_coding_saves_bits():
+    # The loop's grad and grad-total messages cost at most 0.85 of what the
+    # decoded whole pieces and totals would cost sent as they are (0.65 here).
+    inst = gen_random(GenSpec("regression", n=60, d=2, L=4, s=3, seed=900))
+    _, transcript = run_protocol("l1-agd", inst, seed=0, eps=0.25)
+    decoded = _agd_loop_decoded(transcript, inst.d)
+    pricer = Network(transcript.mode, inst.s)
+    sent = sum(m.bits for m, _ in decoded)
+    whole = sum(pricer.payload_bits(value) for _, value in decoded)
+    assert sent <= 0.85 * whole
+
+
+def test_l1_agd_quiet_server_sends_one_bit_grads():
+    # A server with no rows has a zero piece every iteration, so each of its
+    # grad messages is a 1-bit None.
+    inst = gen_random(GenSpec("regression", n=60, d=2, L=4, s=3, seed=900))
+    inst = dataclasses.replace(inst, partition=tuple(1 + i % 2 for i in range(inst.n)))
+    out, transcript = run_protocol("l1-agd", inst, seed=0, eps=0.25)
+    assert out.status == "SOLVED"
+    quiet = [m for m in transcript.messages if m.kind == "grad" and m.sender == server(3)]
+    assert len(quiet) == transcript.rounds
+    assert all(m.payload is None and m.bits == 1 for m in quiet)
 
 
 @pytest.mark.parametrize("L", [6, 12, 20])
