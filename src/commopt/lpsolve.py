@@ -463,7 +463,7 @@ def clarkson(
                 x=tuple(x_r),
                 value=dot(c, x_r),
                 iterations=iteration,
-                extra={"history": history, "n": n_total},
+                extra={"history": history},
             )
         if v_total <= Fraction(2 * h_total, 9 * d - 1):
             # H_i <- H_i union V_i: violated unsampled constraints double.
@@ -560,8 +560,6 @@ def smoothed_clarkson(
         return payload, rounded
 
     outcome = clarkson(instance, net, stream, cfg, rows_override=per_server, solution_encoder=encoder)
-    outcome.extra["sigma"] = sigma
-    outcome.extra["t"] = t
     outcome.extra["delta"] = delta
     outcome.extra["perturbed"] = plp
     return outcome

@@ -20,9 +20,7 @@ from .config import Constants
 from .exactnum import (
     dot,
     first_basis_solve,
-    gram,
     int_solve,
-    mat_vec,
     min_norm_least_squares,
     solve_normal,
     transpose,
@@ -37,6 +35,7 @@ from .lpsolve import (
 from .rng import Stream
 from .rowsample import (
     _distributed_sample,
+    _shared_gram,
     leverage_protocol,
     lewis_protocol,
     lewis_weights_local,
@@ -48,8 +47,6 @@ from .rowsample import (
 class RegressionResult:
     x: tuple
     value: object  # Fraction on exact paths, float elsewhere
-    method: str
-    epsilon: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -64,22 +61,6 @@ def l2_sq_norm(rows, rhs, x) -> Fraction:
 # ---------------------------------------------------------------------------
 # Exact l2 via normal equations
 # ---------------------------------------------------------------------------
-
-
-def _gram_round(net: Network, d: int, server_rows, server_rhs):
-    """Each server ships its Gram matrix and A^T b; returns the exact sums."""
-    g_sum = [[0] * d for _ in range(d)]
-    y_sum = [0] * d
-    for sid, (rows, rhs) in enumerate(zip(server_rows, server_rhs), start=1):
-        g_local = gram(rows) if rows else [[0] * d for _ in range(d)]
-        y_local = mat_vec(transpose(rows), rhs) if rows else [0] * d
-        net.to_coordinator(sid, "gram", [list(r) for r in g_local])
-        net.to_coordinator(sid, "atb", list(y_local))
-        for i in range(d):
-            y_sum[i] += y_local[i]
-            for j in range(d):
-                g_sum[i][j] += g_local[i][j]
-    return g_sum, y_sum
 
 
 def _value_round(instance: Instance, net: Network, x, kind: str, power: int) -> Fraction:
@@ -102,22 +83,20 @@ def _value_round(instance: Instance, net: Network, x, kind: str, power: int) -> 
 
 
 def l2_exact(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> ProtocolOutcome:
-    """Each server ships its Gram matrix, A^T b and b^T b; the coordinator solves.
+    """Each server with rows sends the Gram of its rows [A | b] through
+    `_shared_gram`, unshared, and the coordinator solves.
 
-    Every x with G x = A^T b, the minimum-norm one of a singular G included,
-    has ||Ax - b||^2 = b^T b - x.A^T b, so the exact value needs no second round.
+    That Gram's upper triangle holds G = A^T A, y = A^T b and b^T b.  Every x
+    with G x = y, the minimum-norm one of a singular G included, has
+    ||Ax - b||^2 = b^T b - x.y, so the exact value needs no second round.
     """
-    servers = range(1, instance.s + 1)
-    server_rhs = [[instance.b[i] for i in instance.rows_of(sid)] for sid in servers]
-    g_sum, y_sum = _gram_round(
-        net, instance.d, [instance.server_rows(sid) for sid in servers], server_rhs
-    )
-    btb = sum(
-        net.to_coordinator(sid, "btb", dot(rhs, rhs)) for sid, rhs in zip(servers, server_rhs)
-    )
-    x = solve_normal(g_sum, y_sum)
-    value = math.sqrt(float(btb - dot(x, y_sum)))
-    return ProtocolOutcome("SOLVED", x=tuple(x), value=value, extra={"method": "l2-exact"})
+    d = instance.d
+    views = [(sid, instance.server_aug_rows(sid)) for sid in range(1, instance.s + 1)]
+    g_aug, _ = _shared_gram(views, d + 1, net, "gram", share=False)
+    y = [row[d] for row in g_aug[:d]]
+    x = solve_normal([row[:d] for row in g_aug[:d]], y)
+    value = math.sqrt(float(g_aug[d][d] - dot(x, y)))
+    return ProtocolOutcome("SOLVED", x=tuple(x), value=value)
 
 
 def l2_sampled(
@@ -350,7 +329,7 @@ def l1_minimize_exact(rows, rhs):
 
 def l1_exact_oracle(rows, rhs) -> RegressionResult:
     x, value = l1_minimize_exact(rows, rhs)
-    return RegressionResult(tuple(x), value, "l1-exact-oracle")
+    return RegressionResult(tuple(x), value)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +388,7 @@ def l1_simple(
         stacked.extend(sketch)
     x, _ = l1_minimize_exact([r[:-1] for r in stacked], [r[-1] for r in stacked])
     value = _value_round(instance, net, x, "residual-l1", 1)
-    return ProtocolOutcome(
-        "SOLVED", x=tuple(x), value=value, extra={"sketch_rows": len(stacked)}
-    )
+    return ProtocolOutcome("SOLVED", x=tuple(x), value=value)
 
 
 def l1_lewis(
@@ -463,17 +440,17 @@ def smoothed_value(server_sa, server_sb, r_inv, z, lam, sigma, z0) -> float:
     return data + 0.5 * sigma * float(diff @ diff)
 
 
-def gradient_exchange(server_sa, server_sb, r_inv, z, lam, sigma, z0, k):
-    """One distributed gradient round: the gradient of `smoothed_value` in z.
+def gradient_exchange(server_sa, server_sb, r_inv, z, lam, k):
+    """One distributed gradient round: the piece each server computes.
 
     Every row's Huber derivative h'_i = clip(r_i / lam, -1, 1) enters the
-    gradient R^-T sum_i h'_i a_i + sigma (z - z0).  Returns that float
-    gradient and, per server, the piece it computes: the integer d-vector
-    sum_i round(2^k h'_i) a_i, exact when `server_sa` holds int64 rows within
-    `l1_agd`'s guard; what travels is its difference from the server's
-    previous piece, or a 1-bit `None` if equal.  Decoded as 2^-k R^-T (sum of
-    the pieces) + sigma (z - z0), the pieces give a gradient whose error e
-    obeys, for x = R^-1 z and any x' = R^-1 z',
+    gradient R^-T sum_i h'_i a_i + sigma (z - z0) of `smoothed_value` in z.
+    A server's piece is the integer d-vector sum_i round(2^k h'_i) a_i over
+    its rows, exact when `server_sa` holds int64 rows within `l1_agd`'s guard;
+    what travels is its difference from the server's previous piece, or a
+    1-bit `None` if equal.  Decoded as 2^-k R^-T (sum of the pieces) +
+    sigma (z - z0), the pieces give a gradient whose error e obeys, for
+    x = R^-1 z and any x' = R^-1 z',
 
         |<e, z - z'>| <= 2^-(k+1) (||SA x - Sb||_1 + ||SA x' - Sb||_1),
 
@@ -481,13 +458,11 @@ def gradient_exchange(server_sa, server_sb, r_inv, z, lam, sigma, z0, k):
     the two residuals' sum.
     """
     u = r_inv @ z
-    h_sum = np.zeros(r_inv.shape[0])
     pieces = []
     for sa, sb in zip(server_sa, server_sb):
         h = np.clip((sa @ u - sb) / lam, -1.0, 1.0)
-        h_sum += h @ sa
         pieces.append((np.rint(h * 2.0**k).astype(np.int64) @ sa).tolist())
-    return r_inv.T @ h_sum + sigma * (z - z0), pieces
+    return pieces
 
 
 def _delta_send(prev: list, new: list, send, *address) -> list:
@@ -503,9 +478,11 @@ def l1_agd(
 ) -> ProtocolOutcome:
     """Lewis sample, precondition, then smoothed accelerated gradient descent.
 
-    The preconditioner R is the Cholesky factor of the exact sampled Gram
-    (SA)^T(SA), which the warm start already sums and broadcasts, so every
-    party builds the same R without another message.
+    The sampled rows [SA | Sb] stay on their servers, which share the exact
+    Gram of them through `_shared_gram` (`gram`).  Every party reads
+    (SA)^T(SA) and (SA)^T Sb off it, solves the normal equations for the warm
+    start x0 and factors (SA)^T(SA) into the preconditioner R, so neither x0
+    nor R travels in another message.
 
     Each of the N = ceil(agd_c2 d / eps) iterations is one round: every server
     computes its `gradient_exchange` piece, the integer d-vector
@@ -577,14 +554,14 @@ def l1_agd(
     sb_views = [[r[-1] for r in view] for view in sampled_views]
     n_sampled = sum(len(v) for v in sa_views)
 
-    # -- Warm start: exact l2 on the sampled system. -------------------------
-    g_sum, y_sum = _gram_round(net, d, sa_views, sb_views)
-    x0_exact = solve_normal(g_sum, y_sum)
+    # -- Warm start: exact l2 on the sampled system, which every party solves
+    # from the shared Gram of the sampled [SA | Sb].
+    g_aug, _ = _shared_gram(enumerate(sampled_views, start=1), d + 1, net, "gram")
+    g_sum = [row[:d] for row in g_aug[:d]]
+    x0_exact = solve_normal(g_sum, [row[d] for row in g_aug[:d]])
     x0 = np.array([float(v) for v in x0_exact])
-    net.to_all_servers("warm-start", [float(v) for v in x0])
-    net.to_all_servers("gram-total", [[int(v) for v in row] for row in g_sum])
 
-    # -- Precondition: every party factors the broadcast Gram (SA)^T(SA).  The
+    # -- Precondition: every party factors the shared Gram (SA)^T(SA).  The
     # shift scales with the trace so a rank-deficient Gram still factors.
     g = np.asarray(g_sum, dtype=float)
     r_factor = np.linalg.cholesky(g + 1e-12 * (1.0 + np.trace(g)) * np.eye(d)).T
@@ -654,7 +631,7 @@ def l1_agd(
         theta_k = 1.0
         for _ in range(per_stage):
             net.mark_round()
-            _, pieces = gradient_exchange(sa_int, sb_float, r_inv, y, lam, sigma, z0, k)
+            pieces = gradient_exchange(sa_int, sb_float, r_inv, y, lam, k)
             for sid, piece in enumerate(pieces, start=1):
                 sent[sid - 1] = _delta_send(sent[sid - 1], piece, net.to_coordinator, sid, "grad")
             grad_sum = [sum(col) for col in zip(*sent)]
@@ -715,10 +692,7 @@ def linf_regression(
     if out.status != "SOLVED":
         return out
     x = out.x[: instance.d]
-    return ProtocolOutcome(
-        "SOLVED", x=x, value=out.x[instance.d], iterations=out.iterations,
-        extra={"lp_iterations": out.iterations},
-    )
+    return ProtocolOutcome("SOLVED", x=x, value=out.x[instance.d], iterations=out.iterations)
 
 
 # Bounds on `lp_norm_fit`'s loops.  Away from an exact fit the descent stopped
@@ -730,15 +704,24 @@ LP_NEWTON_STEPS = 50
 LP_HALVINGS = 60
 
 
-def lp_norm_fit(a: np.ndarray, b: np.ndarray, p: float) -> tuple[np.ndarray, float]:
-    """(x, sum |a x - b|^p) at the minimizer for p > 2, by damped Newton from least squares.
+def lp_norm_fit(rows: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+    """(x, sum |a x - b|^p) over the rows [a | b] at the minimizer for p > 2, by
+    damped Newton from least squares.
 
     The gradient is a^T(sign(r)|r|^(p-1)) and the Hessian (p-1) a^T diag(|r|^(p-2)) a
     (second-order steps as in Adil, Kyng, Peng & Sachdeva, SODA 2019).  The
     Hessian is singular on an exact fit and on rank-deficient `a`, so the Newton
     system is solved by least squares.  A step is halved until the objective
     does not rise; the descent stops once it no longer falls or reaches 0.
+    Rows with a = 0 add the constant sum |b|^p whatever x is, so they stay out
+    of the descent: beside a large constant, the test that the objective falls
+    would only see changes above the constant's last bit and stop early.
     """
+    zero = ~rows[:, :-1].any(axis=1)
+    with np.errstate(over="ignore"):
+        constant = float(np.sum(np.abs(rows[zero, -1]) ** p))
+    fit = rows[~zero]
+    a, b = fit[:, :-1], fit[:, -1]
 
     def objective(x):
         with np.errstate(over="ignore"):
@@ -746,7 +729,7 @@ def lp_norm_fit(a: np.ndarray, b: np.ndarray, p: float) -> tuple[np.ndarray, flo
 
     x = np.linalg.lstsq(a, b, rcond=None)[0]
     fx = objective(x)
-    if not math.isfinite(fx):
+    if not math.isfinite(fx + constant):
         raise SizeGuardError(f"sum |r|^{p} at the least-squares fit overflows doubles")
     for _ in range(LP_NEWTON_STEPS):
         if fx == 0.0:
@@ -762,7 +745,7 @@ def lp_norm_fit(a: np.ndarray, b: np.ndarray, p: float) -> tuple[np.ndarray, flo
         if not f_new < fx:
             break
         x, fx = x - step, f_new
-    return x, fx
+    return x, fx + constant
 
 
 def lp_regression(
@@ -786,6 +769,5 @@ def lp_regression(
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     views = [instance.server_aug_rows(sid) for sid in range(1, instance.s + 1)]
-    held = np.array(net.gather("rows", views), dtype=float)
-    x, total = lp_norm_fit(held[:, :-1], held[:, -1], p)
+    x, total = lp_norm_fit(np.array(net.gather("rows", views), dtype=float), p)
     return ProtocolOutcome("SOLVED", x=tuple(float(v) for v in x), value=total ** (1.0 / p))

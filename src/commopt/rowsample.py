@@ -1,10 +1,11 @@
 """Row sampling: leverage-score halving, Lewis-weight iteration, sampling plans.
 
-Each level of the recursion shares one exact d x d Gram: every server sends
-the integer Gram of its sampled, integer-rescaled rows and the coordinator
-sends back the sum, which the servers score against in double precision
-(the protocols only ever need constant-factor accuracy).  A final sample
-goes to the coordinator alone as rows, since it solves on them.
+Each level of the recursion shares one exact d x d Gram through
+`_shared_gram`, the package's one Gram exchange: every server sends the upper
+triangle of the integer Gram of its sampled, integer-rescaled rows and the
+coordinator sends back the summed triangle, which the servers score against
+in double precision (the protocols only ever need constant-factor accuracy).
+A final sample goes to the coordinator alone as rows, since it solves on them.
 """
 
 from __future__ import annotations
@@ -166,19 +167,24 @@ def _distributed_sample(server_views, plans, net: Network, stream: Stream, tag: 
     return gathered
 
 
-def _shared_gram(server_rows, d: int, net: Network, kind: str):
-    """Each server with rows sends the exact Gram of them; the coordinator
-    sends every server the sum.  Returns (sum, row count), or ([], 0)."""
-    total = [[0] * d for _ in range(d)]
+def _shared_gram(server_rows, d: int, net: Network, kind: str, share: bool = True):
+    """The one Gram exchange.  Each server with rows sends the upper triangle
+    of its exact Gram (row i holds entries i..d-1); the coordinator sums the
+    triangles and, if `share`, sends every server the summed triangle.
+    Returns (the full symmetric sum, row count), or ([], 0)."""
+    total = [[0] * (d - i) for i in range(d)]
     count = 0
     for sid, rows in server_rows:
         if rows:
-            local = net.to_coordinator(sid, kind, gram(rows))
+            g = gram(rows)
+            local = net.to_coordinator(sid, kind, [g[i][i:] for i in range(d)])
             total = [[u + v for u, v in zip(tr, lr)] for tr, lr in zip(total, local)]
             count += len(rows)
     if not count:
         return [], 0
-    return net.to_all_servers(kind, total), count
+    if share:
+        net.to_all_servers(kind, total)
+    return [[total[min(i, j)][abs(i - j)] for j in range(d)] for i in range(d)], count
 
 
 def _halving_gram(server_views, d: int, net: Network, stream: Stream, cfg: Constants, depth: int = 0):
@@ -301,29 +307,27 @@ def lewis_weights_local(rows) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _views_from_instance(instance: Instance, augmented: bool):
-    if augmented and instance.b is not None:
-        return [instance.server_aug_rows(sid) for sid in range(1, instance.s + 1)]
+def _views_from_instance(instance: Instance):
     return [instance.server_rows(sid) for sid in range(1, instance.s + 1)]
 
 
 def leverage_protocol_entry(
     instance: Instance, net: Network, stream: Stream, cfg: Constants
 ) -> ProtocolOutcome:
-    views = _views_from_instance(instance, augmented=False)
-    tilde_rows, taus = leverage_protocol(views, instance.d, net, stream, cfg)
+    views = _views_from_instance(instance)
+    _, taus = leverage_protocol(views, instance.d, net, stream, cfg)
     flat = [float(t) for tau in taus for t in tau]
     return ProtocolOutcome(
         "OK",
         value=float(sum(min(t, 1.0) for t in flat)),
-        extra={"tilde_rows": tilde_rows, "scores": flat},
+        extra={"scores": flat},
     )
 
 
 def lewis_protocol_entry(
     instance: Instance, net: Network, stream: Stream, cfg: Constants
 ) -> ProtocolOutcome:
-    views = _views_from_instance(instance, augmented=False)
+    views = _views_from_instance(instance)
     weights = lewis_protocol(views, instance.d, instance.L, net, stream, cfg)
     flat = [float(w) for ws in weights for w in ws]
     return ProtocolOutcome("OK", value=float(sum(flat)), extra={"weights": flat})

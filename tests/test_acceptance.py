@@ -305,7 +305,7 @@ def test_criterion_06_gradient_correctness():
     worst = 0.0
     for trial in range(100):
         n, d = 10, 3
-        sa = np.array([[stream.randint(-6, 6) for _ in range(d)] for _ in range(n)], dtype=float)
+        sa = np.array([[stream.randint(-6, 6) for _ in range(d)] for _ in range(n)], dtype=np.int64)
         sb = np.array([stream.randint(-6, 6) for _ in range(n)], dtype=float)
         r_inv = np.eye(d) + 0.1 * np.array([[stream.gauss() for _ in range(d)] for _ in range(d)])
         z = np.array([2.0 * stream.gauss() for _ in range(d)])
@@ -314,9 +314,12 @@ def test_criterion_06_gradient_correctness():
         res = sa @ (r_inv @ z) - sb
         saturated += int((np.abs(res) > lam).any())
         quadratic += int((np.abs(res) <= lam).any())
-        # The protocol's own objective and gradient round; rows split over two servers.
+        # The protocol's own objective and gradient round; rows split over two
+        # servers.  The gradient is the one every party decodes from the pieces.
         server_sa, server_sb = [sa[:4], sa[4:]], [sb[:4], sb[4:]]
-        grad, _ = gradient_exchange(server_sa, server_sb, r_inv, z, lam, sigma, np.zeros(d), 16)
+        pieces = gradient_exchange(server_sa, server_sb, r_inv, z, lam, 16)
+        total = np.array([sum(col) for col in zip(*pieces)], dtype=float)
+        grad = 2.0**-16 * (r_inv.T @ total) + sigma * z
         h = 1e-6
         for j in range(d):
             e = np.zeros(d)
@@ -480,7 +483,7 @@ DETERMINISM_DIGESTS = {
     ),
     "l2-exact": (
         "7dded61689da1dc24018dac11449e66ab358fcd7d85efaf7a3a303d31f63dadc",
-        "a0314083c957ad30f13cc4a4eecacc04fa294cc5099a73c955c38e0042f3574e",
+        "bd88dd0fcc3b501d84284781e51cb34fb2fe0b78a298f746a51a1e9bfdff7f06",
     ),
     "l2-sampled": (
         "22d0adae9b55c4e516763be627ff629ac3519a7eac0e68658d2b68263a5f0c7a",
@@ -496,7 +499,7 @@ DETERMINISM_DIGESTS = {
     ),
     "l1-agd": (
         "7e0e6abf7f7b3a0332c35d0347ccf6eac9daa022fd793127489c003b0fc2a25b",
-        "37a4623261529f3bb731e7f90081464329aa85b12fb19c186558382f7abdca55",
+        "b30520ba7b91fd9a951d6cb2a0cf2e4136b05a1c3e067ca6dd410aa3a4b91bb5",
     ),
     "linf": (
         "4599405c6858c6e2fd106e81407db5a634fcfeb4fb4da02e04a465a66d532dc4",
@@ -528,11 +531,11 @@ DETERMINISM_DIGESTS = {
     ),
     "leverage": (
         "c9f25dec3f53ee54699050ec8c18069a95888dcf9f5c2bd668e2b17479b271e7",
-        "31cf34cb039991c75d789eea7da5eb8ab70c05672d3b03dd7567614377e921e0",
+        "dd2281720f560f3b8c7369cd44b008b26c940433a03faca1a114dbb15b04e675",
     ),
     "lewis": (
         "11171031ffa1297fcaaf0a1c503f3b5475ef8105c371a0f5bd82f3efc5db4908",
-        "9251f942a7097b2ebc359961f8e2a1773d6459969809d114275c90dab82250bb",
+        "74f3f6d6a7457d094cde6bdbc0031b9cc92b8f9c5c06019ef041552d37384d7f",
     ),
 }
 
@@ -578,11 +581,11 @@ SAMPLING_BRANCH_SET = [
 SAMPLING_BRANCH_DIGESTS = {
     "l2-sampled": (
         "a980d6deb806f629321c40079490bc9ef104718997f91da43086656943fde46d",
-        "bc876d521d0afd158282d55b3220eee3cb3e13194424f840cf9df5a25d4559db",
+        "66c1453a71945396722ec21b3b996fd72116cefca281b27ab51ff5545bc7c9c1",
     ),
     "l1-lewis": (
         "0b4434815546874fbe82bca2e7418ae09c6c0a6d355b38b811017fdddb0f63b5",
-        "d5d563dd1dccf88bf2ab447cbd7d704f217cced2950541d391cc4df7f907ad84",
+        "56c2cf79e289e214f5791a07fe953d47adf2c04408f635179e1c5d27b6174265",
     ),
 }
 

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commopt import regression
 from commopt.cli import _lp_norm_opt
-from commopt.commsim import MODES, Network, run_protocol, server
-from commopt.exactnum import dot
+from commopt.commsim import COORDINATOR, MODES, Network, run_protocol, server
+from commopt.exactnum import dot, gram, solve_normal
 from commopt.instances import GenSpec, Instance, gen_random
 from commopt.lpsolve import SizeGuardError, lp_exact_oracle
 from commopt.regression import (
@@ -31,6 +31,22 @@ def huber_smooth_grad(t, lam: float) -> np.ndarray:
     """Reference derivative of `huber_smooth` in t, elementwise."""
     t = np.asarray(t, dtype=float)
     return np.where(np.abs(t) <= lam, t / lam, np.sign(t))
+
+
+def reference_gradient(server_sa, server_sb, r_inv, z, lam, sigma, z0) -> np.ndarray:
+    """Reference float gradient of `smoothed_value` in z."""
+    u = r_inv @ z
+    h_sum = sum(
+        (huber_smooth_grad(sa @ u - sb, lam) @ sa for sa, sb in zip(server_sa, server_sb)),
+        np.zeros(len(z)),
+    )
+    return r_inv.T @ h_sum + sigma * (z - z0)
+
+
+def decoded_gradient(pieces, r_inv, z, sigma, z0, k) -> np.ndarray:
+    """The gradient every l1-agd party decodes from the servers' integer pieces."""
+    total = np.array([sum(col) for col in zip(*pieces)], dtype=float)
+    return 2.0**-k * (r_inv.T @ total) + sigma * (z - z0)
 
 
 def reg_instance(rows, rhs, partition, kind="regression", c=None, L=None):
@@ -88,6 +104,23 @@ def test_l2_exact_value_is_residual_of_its_x(case):
     out, transcript = run_protocol("l2-exact", inst, mode)
     assert out.value == math.sqrt(float(l2_sq_norm(inst.A, inst.b, out.x)))
     assert transcript.count_kind("solution") == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(l2_runs())
+def test_l2_exact_sends_one_gram_triangle_per_server(case):
+    # One `gram` message from each server that holds rows and nothing else:
+    # the triangles sum to the upper triangle of the stacked [A | b]'s Gram.
+    inst, mode = case
+    _, transcript = run_protocol("l2-exact", inst, mode)
+    assert [(m.kind, m.sender.index) for m in transcript.messages] == [
+        ("gram", sid) for sid in sorted(set(inst.partition))
+    ]
+    total = [
+        [sum(col) for col in zip(*rows)] for rows in zip(*(m.payload for m in transcript.messages))
+    ]
+    full = gram([(*a, b) for a, b in zip(inst.A, inst.b)])
+    assert total == [row[i:] for i, row in enumerate(full)]
 
 
 COORDS = st.one_of(
@@ -372,14 +405,16 @@ def test_smoothed_gradient_finite_differences():
     worst = 0.0
     for trial in range(25):
         n, d = 12, 3
-        sa = np.array([[stream.randint(-5, 5) for _ in range(d)] for _ in range(n)], dtype=float)
+        sa = np.array([[stream.randint(-5, 5) for _ in range(d)] for _ in range(n)], dtype=np.int64)
         sb = np.array([stream.randint(-5, 5) for _ in range(n)], dtype=float)
         r_inv = np.eye(d) + 0.1 * np.array([[stream.gauss() for _ in range(d)] for _ in range(d)])
         z = np.array([stream.gauss() for _ in range(d)])
         z0 = np.zeros(d)
         lam = 2.0 if trial % 2 else 0.05  # exercise both branches
         sigma = 0.3
-        grad, _ = gradient_exchange([sa], [sb], r_inv, z, lam, sigma, z0, 16)
+        # The gradient the protocol uses: decoded from the integer pieces.
+        pieces = gradient_exchange([sa], [sb], r_inv, z, lam, 16)
+        grad = decoded_gradient(pieces, r_inv, z, sigma, z0, 16)
         h = 1e-6
         for j in range(d):
             e = np.zeros(d)
@@ -393,30 +428,24 @@ def test_smoothed_gradient_finite_differences():
 
 
 def test_gradient_aggregation_identity():
+    # The servers' integer pieces sum, exactly, to the piece of their stacked rows.
     stream = Stream(29).split("agg")
     for _ in range(10):
         d = 3
-        views = []
-        all_rows = []
-        all_rhs = []
-        for sid in range(3):
-            n_i = 5
-            sa = np.array([[stream.randint(-4, 4) for _ in range(d)] for _ in range(n_i)], dtype=float)
-            sb = np.array([stream.randint(-4, 4) for _ in range(n_i)], dtype=float)
-            views.append((sa, sb))
-            all_rows.append(sa)
-            all_rhs.append(sb)
+        server_sa = [
+            np.array([[stream.randint(-4, 4) for _ in range(d)] for _ in range(5)], dtype=np.int64)
+            for _ in range(3)
+        ]
+        server_sb = [
+            np.array([stream.randint(-4, 4) for _ in range(5)], dtype=float) for _ in range(3)
+        ]
         r_inv = np.eye(d) + 0.05 * np.array([[stream.gauss() for _ in range(d)] for _ in range(d)])
         z = np.array([stream.gauss() for _ in range(d)])
-        lam = 0.8
-        grad_dist, _ = gradient_exchange(
-            [v[0] for v in views], [v[1] for v in views], r_inv, z, lam, 0.0, np.zeros(d), 16
+        pieces = gradient_exchange(server_sa, server_sb, r_inv, z, 0.8, 16)
+        (stacked,) = gradient_exchange(
+            [np.vstack(server_sa)], [np.concatenate(server_sb)], r_inv, z, 0.8, 16
         )
-        sa_all = np.vstack(all_rows)
-        sb_all = np.concatenate(all_rhs)
-        res = sa_all @ (r_inv @ z) - sb_all
-        grad_mono = r_inv.T @ (sa_all.T @ huber_smooth_grad(res, lam))
-        assert np.abs(grad_dist - grad_mono).max() < 1e-10
+        assert [sum(col) for col in zip(*pieces)] == stacked
 
 
 @st.composite
@@ -455,13 +484,14 @@ def grid_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(grid_cases())
 def test_gradient_grid_within_inexact_oracle_bound(case):
-    # The gradient decoded from the integer pieces differs from the float one
-    # by an e with |<e, z - z'>| <= 2^-(k+1) (l1(x) + l1(x')), x = R^-1 z.
+    # The gradient decoded from the integer pieces differs from the float
+    # reference by an e with |<e, z - z'>| <= 2^-(k+1) (l1(x) + l1(x')), x = R^-1 z.
     sa, sb, r_inv, z, z_other, z0, lam, sigma, k = case
-    grad, pieces = gradient_exchange(sa, sb, r_inv, z, lam, sigma, z0, k)
+    pieces = gradient_exchange(sa, sb, r_inv, z, lam, k)
     assert all(len(p) == len(z) and all(type(v) is int for v in p) for p in pieces)
     total = [sum(col) for col in zip(*pieces)]
-    decoded = 2.0**-k * (r_inv.T @ np.array(total, dtype=float)) + sigma * (z - z0)
+    decoded = decoded_gradient(pieces, r_inv, z, sigma, z0, k)
+    grad = reference_gradient(sa, sb, r_inv, z, lam, sigma, z0)
 
     def l1(zv):
         return sum(float(np.abs(a @ (r_inv @ zv) - b).sum()) for a, b in zip(sa, sb))
@@ -491,11 +521,20 @@ def test_l1_agd_exact_fit_warm_start():
     assert out.x[1] == pytest.approx(-2.0, abs=1e-6)
 
 
+def _agd_warm_start(transcript, d):
+    """x0 as every l1-agd party solves it: the normal equations read off the
+    coordinator's shared `gram` triangle of the sampled [SA | Sb]."""
+    tri = next(m.payload for m in transcript.messages if m.kind == "gram" and m.sender == COORDINATOR)
+    full = [[tri[min(i, j)][abs(i - j)] for j in range(d + 1)] for i in range(d + 1)]
+    x0 = solve_normal([row[:d] for row in full[:d]], [row[d] for row in full[:d]])
+    return [float(v) for v in x0]
+
+
 def _check_stage_pick(out, transcript, s):
     # The warm start's s `warm-value` pieces and each stage's s `stage-value`
     # pieces, each total summed in server order as the coordinator does.
     # extra["sampled_value"] is the least total, and out.x is the x it was
-    # sent at: x0 from `warm-start`, or the stage's R^-1 z.
+    # sent at: x0 from the shared `gram` total, or the stage's R^-1 z.
     pieces = {"warm-value": [], "stage-value": []}
     for m in transcript.messages:
         if m.kind in pieces:
@@ -518,8 +557,7 @@ def _check_stage_pick(out, transcript, s):
     group = warm if best == 0 else stages[(best - 1) * s:best * s]
     assert at_x == pytest.approx(group, rel=1e-12, abs=1e-12)
     if best == 0:
-        warm_start = [m.payload for m in transcript.messages if m.kind == "warm-start"][0]
-        assert list(out.x) == warm_start
+        assert list(out.x) == _agd_warm_start(transcript, len(out.x))
     return best
 
 
@@ -605,8 +643,9 @@ def test_l1_agd_message_shapes():
     # coordinator to each; per stage, one float l1 piece per server.  Each grad
     # or grad-total payload is the difference from the sender's previous piece
     # or total on that leg: a d-vector of ints with a nonzero entry, or a 1-bit
-    # None when nothing changed.  No value travels per iteration, and no d x d
-    # payload follows gram-total.
+    # None when nothing changed.  No value travels per iteration.  Before the
+    # loop, each server sends the upper triangle of its sampled [SA | Sb]'s
+    # Gram and the coordinator sends each server the summed triangle, once.
     inst = gen_random(GenSpec("regression", n=60, d=2, L=4, s=3, seed=900))
     out, transcript = run_protocol("l1-agd", inst, seed=0, eps=0.25)
     s, d, rounds = inst.s, inst.d, transcript.rounds
@@ -638,8 +677,15 @@ def test_l1_agd_message_shapes():
         ]
         summed = [sum(col) for col in zip(*(piece for _, piece in grads))]
         assert all(total == summed for _, total in totals)
-    # After gram-total the only matrix payload is the presolve's rows, d + 1 wide.
-    after = transcript.messages[transcript.messages.index(by_kind["gram-total"][-1]) + 1:]
+    grams = by_kind["gram"]
+    servers = [server(i) for i in range(1, s + 1)]
+    assert [(m.sender, m.receiver) for m in grams] == [(p, COORDINATOR) for p in servers] + [
+        (COORDINATOR, p) for p in servers
+    ]
+    assert all([len(row) for row in m.payload] == list(range(d + 1, 0, -1)) for m in grams)
+    assert not {"atb", "btb", "warm-start", "gram-total"} & set(by_kind)
+    # After the shared Gram the only matrix payload is the presolve's rows, d + 1 wide.
+    after = transcript.messages[transcript.messages.index(grams[-1]) + 1:]
     matrices = [m for m in after if isinstance(m.payload, list) and isinstance(m.payload[0], list)]
     assert {m.kind for m in matrices} == {"presolve-sketch"}
     assert all(len(row) == d + 1 for m in matrices for row in m.payload)
@@ -816,6 +862,9 @@ def lp_fit_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(lp_fit_cases())
+# Two zero rows add 2^6 to the objective; inside the descent they would hide
+# every decrease below ulp(64) and stop it with a gradient of 5e-9 left.
+@example((reg_instance([[0, 0, 0], [0, 0, 1], [0, 0, 5], [0, 0, 0]], [2, 0, 1, 0], [1, 1, 1, 3]), 6.0))
 def test_lp_regression_matches_bfgs_and_is_stationary(case):
     inst, p = case
     out, _ = run_protocol("lp-embed", inst, p=p, eps=0.5)
