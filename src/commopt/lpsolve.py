@@ -357,33 +357,50 @@ def _distribute_objective(inst: Instance, net: Network):
         net.to_all_servers("objective", list(inst.c))
 
 
+def _vertex_payload(x) -> list[int]:
+    """A rational point as one integer vector [n_1..n_d, D], x_j = n_j / D,
+    with D the lcm of the denominators."""
+    return clear_denominators([*x, 1])
+
+
+def _decode_row(payload) -> Halfspace:
+    """The row a.x <= b sent as [a, b]."""
+    return tuple(payload[:-1]), payload[-1]
+
+
 def clarkson(
     instance: Instance,
     net: Network,
     stream: Stream,
     cfg: Constants,
-    rows_override: list[list[Halfspace]] | None = None,
+    perturbed: PerturbedLP | None = None,
     solution_encoder=None,
 ) -> ProtocolOutcome:
     """Sample 9d^2 constraints, solve, double the weight of violated ones.
 
-    `rows_override` lets callers (the smoothed variant, regression paths)
-    substitute per-server constraint lists; `solution_encoder` maps the exact
-    solution to the payload actually shipped to servers plus the point that
-    servers test violations against.
+    A server sends a sampled row as its integer data [a, b].  Given
+    `perturbed`, every party works on the rows (a + g_i) x <= b instead: a
+    server sends its base row as [i, a, b] under its global index i, and the
+    coordinator adds the shared noise row g_i back (`PerturbedLP.decode`).
+    The optimum travels as one integer vector over a common denominator
+    (`_vertex_payload`); `solution_encoder` maps it instead to the payload
+    shipped to servers plus the point that servers test violations against.
+    An LP with no rows runs like any other: its subproblem is the box alone.
     """
     d = instance.d
     c = [Fraction(v) for v in (instance.c if instance.c is not None else [0] * d)]
-    server_rows = rows_override
-    if server_rows is None:
+    if perturbed is None:
         halfspaces = instance_halfspaces(instance)
-        server_rows = [
-            [halfspaces[i] for i in instance.rows_of(sid)] for sid in range(1, instance.s + 1)
-        ]
-    L = max(effective_bitlength([r for rs in server_rows for r in rs], c), 1)
-    n_total = sum(len(rs) for rs in server_rows)
-    if n_total == 0:
-        return ProtocolOutcome("SOLVED", x=tuple([Fraction(0)] * d), value=Fraction(0))
+        wire = [[*a, b] for a, b in halfspaces]
+        decode = _decode_row
+    else:
+        halfspaces = perturbed.rows
+        wire = [[i, *a, b] for i, (a, b) in enumerate(zip(instance.A, instance.b))]
+        decode = perturbed.decode
+    local_idx = [instance.rows_of(sid) for sid in range(1, instance.s + 1)]
+    server_rows = [[halfspaces[i] for i in idx] for idx in local_idx]
+    L = max(effective_bitlength(halfspaces, c), 1)
+    n_total = len(halfspaces)
 
     _distribute_objective(instance, net)
     # Multiplicities: one weight per (server, local row).
@@ -401,8 +418,8 @@ def clarkson(
         net.mark_round()
         # -- sample R ------------------------------------------------------
         if take_all:
-            net.gather("constraints", [[(*a, b) for a, b in rows] for rows in server_rows])
-            sampled = [h for rows in server_rows for h in rows]
+            sent = net.gather("constraints", [[wire[i] for i in idx] for idx in local_idx])
+            sampled = [decode(r) for r in sent]
             drawn = [dict.fromkeys(range(len(rows)), 1) for rows in server_rows]
         else:
             sampled, drawn = [], [{} for _ in range(instance.s)]
@@ -416,9 +433,9 @@ def clarkson(
                 for i in local.draw_weighted(mult[sid - 1], counts[sid - 1]):
                     drawn[sid - 1][i] = drawn[sid - 1].get(i, 0) + 1
                 chosen = sorted(drawn[sid - 1])
-                rows = [server_rows[sid - 1][i] for i in chosen]
-                net.to_coordinator(sid, "constraints", [list(a) + [b] for a, b in rows])
-                sampled.extend(rows)
+                mine = local_idx[sid - 1]
+                sent = net.to_coordinator(sid, "constraints", [wire[mine[i]] for i in chosen])
+                sampled.extend(decode(r) for r in sent)
 
         # -- solve the subproblem -------------------------------------------
         status, x_r, _ = solve_lp(sampled, c, stream.split("solve", iteration), L)
@@ -430,7 +447,7 @@ def clarkson(
             return ProtocolOutcome("UNBOUNDED", iterations=iteration)
 
         if solution_encoder is None:
-            payload, test_point = list(x_r), x_r
+            payload, test_point = _vertex_payload(x_r), x_r
         else:
             payload, test_point = solution_encoder(x_r)
         net.to_all_servers("solution", payload)
@@ -509,15 +526,19 @@ class PerturbedLP:
 
     @property
     def rows(self) -> list[Halfspace]:
-        return [
-            (tuple(v + g for v, g in zip(row, g_row)), beta)
-            for row, g_row, beta in zip(self.base.A, self.noise, self.base.b)
-        ]
+        base = zip(self.base.A, self.base.b)
+        return [self.decode([i, *row, beta]) for i, (row, beta) in enumerate(base)]
+
+    def decode(self, payload) -> Halfspace:
+        """The perturbed row of the base row i sent as [i, a, b]: the shared
+        noise row i added back to a."""
+        i, *a, beta = payload
+        return tuple(v + g for v, g in zip(a, self.noise[i])), beta
 
 
 def perturb_lp_stream(base: Instance, sigma: float, t: int, stream: Stream) -> PerturbedLP:
     """Add i.i.d. truncated Gaussian noise to every matrix entry."""
-    min_t = math.ceil(math.log2(base.n * base.d / sigma) + base.L)
+    min_t = math.ceil(math.log2((base.n * base.d or 1) / sigma) + base.L)
     if t < min_t:
         raise ValueError(f"t={t} below the guard {min_t} for this instance")
     noise = tuple(
@@ -528,7 +549,7 @@ def perturb_lp_stream(base: Instance, sigma: float, t: int, stream: Stream) -> P
 
 
 def smoothed_delta(n: int, d: int, L: int, sigma: float) -> Fraction:
-    bits = 2 * L + math.ceil(math.log2(n * d)) + math.ceil(math.log2(1 / sigma)) + SMOOTHED_DELTA_SLACK
+    bits = 2 * L + math.ceil(math.log2(n * d or 1)) + math.ceil(math.log2(1 / sigma)) + SMOOTHED_DELTA_SLACK
     return Fraction(1, 1 << bits)
 
 
@@ -542,24 +563,22 @@ def smoothed_clarkson(
 ) -> ProtocolOutcome:
     """Clarkson on a noise-perturbed LP, shipping grid-rounded solutions.
 
-    Each server perturbs its own rows from the shared noise stream, so the
-    perturbation itself costs no communication.  Violation tests run against
-    the delta-rounded broadcast point; the final answer is the unrounded
-    optimum of the terminating iteration.
+    Every party draws the noise from the shared stream, keyed by entry
+    (i, j), so the perturbation itself costs no communication: a server
+    sends its integer base row with its index, and the coordinator adds the
+    noise back.  Violation tests run against the delta-rounded broadcast
+    point, sent as integers on the delta grid; the final answer is the
+    unrounded optimum of the terminating iteration.
     """
     plp = perturb_lp_stream(instance, sigma, t, stream.split("smoothed-noise"))
     delta = smoothed_delta(instance.n, instance.d, instance.L, sigma)
-    rows = plp.rows
-    per_server = [
-        [rows[i] for i in instance.rows_of(sid)] for sid in range(1, instance.s + 1)
-    ]
 
     def encoder(x_r):
         rounded = [trunc_to_grid(v, delta) for v in x_r]
         payload = [int(v / delta) for v in rounded]  # integers on the delta grid
         return payload, rounded
 
-    outcome = clarkson(instance, net, stream, cfg, rows_override=per_server, solution_encoder=encoder)
+    outcome = clarkson(instance, net, stream, cfg, perturbed=plp, solution_encoder=encoder)
     outcome.extra["delta"] = delta
     outcome.extra["perturbed"] = plp
     return outcome
@@ -748,10 +767,16 @@ def seidel(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> 
     """Incremental insertion in a fixed server-major order.
 
     Constraint order is shuffled once per server and never re-randomized in
-    recursive calls.  A violated constraint is broadcast unless server 1 owns
-    it and the whole current equality stack is already known to server 1, in
-    which case server 1 re-solves privately; recomputed optima are always
-    broadcast.
+    recursive calls.  All parties step through the order in lockstep, and a
+    silent hand-off means x is unchanged.  Server 1 never broadcasts its
+    constraints.  Any other server broadcasts a violated constraint the
+    first time only: the row keeps its place in the order, so every party
+    re-tests it later itself.  So every party can recompute an optimum whose
+    equality stack holds no server-1 row, and only server 1 publishes
+    optima: a private one, once, before another server tests a constraint
+    against it, and the final one if still private.  An optimum on the
+    guard box is checked for a recession direction by the same insertion on
+    the rows (a, 0) in the unit box, as `solve_lp` does.
     """
     d = instance.d
     if d > 6:
@@ -768,56 +793,71 @@ def seidel(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> 
         local = instance.rows_of(sid)
         stream.split("order", sid).shuffle(local)
         order.extend(local)
-    cons = [all_rows[i] for i in order]
     owner = [instance.partition[i] for i in order]
 
     broadcast_rows: set[int] = set()
     broadcasts = {"constraint": 0, "solution": 0}
+    unpublished = False  # the current x depends on a row only server 1 holds
 
-    def base_optimum(eqs: list[Halfspace]):
-        """Box optimum under the equality stack (local exact computation)."""
-        if not eqs:
-            return [bound if cj > 0 else -bound for cj in c]
-        rows: list[Halfspace] = []
-        for a, beta in eqs:
-            rows.append((a, beta))
-            rows.append((tuple(-v for v in a), -beta))
-        return _solve_rec(rows, c, bound)
+    def publish(x):
+        nonlocal unpublished
+        if unpublished:
+            net.server_broadcast(1, "solution", _vertex_payload(x))
+            broadcasts["solution"] += 1
+            unpublished = False
 
-    def rec(prefix: int, eqs: list[Halfspace]) -> list[Fraction] | None:
-        x = base_optimum(eqs)
-        if x is None:
-            return None
-        for idx in range(prefix):
-            a, beta = cons[idx]
-            if dot(a, x) <= beta:
-                continue
-            o = owner[idx]
-            # Server 1 never broadcasts its own violated constraint: every
-            # other stacked equality has been broadcast already, so server 1
-            # can recompute privately and publish only the new optimum.
-            if o != 1 and idx not in broadcast_rows:
-                net.server_broadcast(o, "constraint", list(a) + [beta])
-                broadcast_rows.add(idx)
-                broadcasts["constraint"] += 1
-            x = rec(idx, eqs + [(a, beta)])
+    def insert(cons: list[Halfspace], box: Fraction) -> list[Fraction] | None:
+        """Optimum of `cons` in the box |x_j| <= box, or None when infeasible."""
+
+        def base_optimum(eqs: list[Halfspace]):
+            """Box optimum under the equality stack (local exact computation)."""
+            if not eqs:
+                return [box if cj > 0 else -box for cj in c]
+            rows: list[Halfspace] = []
+            for a, beta in eqs:
+                rows.append((a, beta))
+                rows.append((tuple(-v for v in a), -beta))
+            return _solve_rec(rows, c, box)
+
+        def rec(prefix: int, eqs: list[Halfspace], private: bool) -> list[Fraction] | None:
+            nonlocal unpublished
+            x = base_optimum(eqs)
+            unpublished = private
             if x is None:
                 return None
-            net.server_broadcast(o, "solution", list(x))
-            broadcasts["solution"] += 1
+            for idx in range(prefix):
+                o = owner[idx]
+                if o != 1:
+                    publish(x)
+                a, beta = cons[idx]
+                if dot(a, x) <= beta:
+                    continue
+                if o != 1 and idx not in broadcast_rows:
+                    net.server_broadcast(o, "constraint", list(a) + [beta])
+                    broadcast_rows.add(idx)
+                    broadcasts["constraint"] += 1
+                x = rec(idx, eqs + [(a, beta)], private or o == 1)
+                if x is None:
+                    return None
+            return x
+
+        x = rec(len(cons), [], False)
+        if x is not None:
+            publish(x)
         return x
 
-    x = rec(len(cons), [])
+    cons = [all_rows[i] for i in order]
+    x = insert(cons, bound)
+    status = INFEASIBLE if x is None else "SOLVED"
+    if x is not None and any(abs(v) == bound for v in x):
+        if dot(c, insert([(a, 0) for a, _ in cons], Fraction(1))) > 0:
+            status = "UNBOUNDED"
     for sid in range(1, instance.s + 1):
         net.verdict(sid, "segment-done")
-    if x is None:
-        return ProtocolOutcome(INFEASIBLE, extra={"broadcasts": dict(broadcasts)})
-    return ProtocolOutcome(
-        "SOLVED",
-        x=tuple(x),
-        value=dot(c, x),
-        extra={"broadcasts": dict(broadcasts)},
-    )
+    extra = {"broadcasts": dict(broadcasts)}
+    if status != "SOLVED":
+        return ProtocolOutcome(status, extra=extra)
+    return ProtocolOutcome("SOLVED", x=tuple(x), value=dot(c, x), extra=extra)
 
 
 # ---------------------------------------------------------------------------

@@ -351,11 +351,9 @@ def test_criterion_07_smoothed_clarkson():
 
     inst = gen_random(GenSpec("lp", n=30, d=4, L=24, s=3, seed=41_000))
     out_s, t_s = run_protocol("lp-smoothed", inst, seed=5, sigma=sigma, t=t)
-    plp = out_s.extra["perturbed"]
-    per_server = [[plp.rows[i] for i in inst.rows_of(sid)] for sid in range(1, inst.s + 1)]
     net = Network("coordinator", inst.s)
     out_u = clarkson(
-        inst, net, Stream(5).split("protocol", "lp-smoothed"), DEFAULTS, rows_override=per_server
+        inst, net, Stream(5).split("protocol", "lp-smoothed"), DEFAULTS, perturbed=out_s.extra["perturbed"]
     )
     rounded_payload = t_s.bits_by_kind("solution") / max(out_s.iterations, 1)
     full_payload = net.transcript.bits_by_kind("solution") / max(out_u.iterations, 1)
@@ -503,7 +501,7 @@ DETERMINISM_DIGESTS = {
     ),
     "linf": (
         "4599405c6858c6e2fd106e81407db5a634fcfeb4fb4da02e04a465a66d532dc4",
-        "47f33802cd11767597c61fcfd1cf86f44ea8e0e7df93f35dd7cda11a839fe9f5",
+        "61fb138af91ed92cab17f02298ceaf220153d20afaf1ae6088a725dec50b51dc",
     ),
     "lp-embed": (
         "72403ad3b2aaf1fbebeb750f1c8010cc4fa2b60a9135f3f3c1f611a97d275cac",
@@ -511,11 +509,11 @@ DETERMINISM_DIGESTS = {
     ),
     "lp-clarkson": (
         "8edc9809430d8cbae654aeeb4e8528a46d18684317041d86c6bed38ddbd88c67",
-        "005d71853eb5d88b051dba5fdb9f60d1fe3be32a2cbf75b6b009813f27353c7d",
+        "2258db8a8ed0dbb9aeb0951bdbff1578da9fd7b7bbf42709ed2042cea0d5901d",
     ),
     "lp-smoothed": (
         "516f356c55597742a24bceaea1063750575fdce376bbcc132ce077ff53da7abe",
-        "f25c8dbeb1656bcaa123155843b324aa111369d248e249491642314377533a82",
+        "4966008ab84aa1edc3d2f6f20dd7927d205447e8c371e3c8138a19d33179bd83",
     ),
     "lp-cog": (
         "d364206b63f893fd95053d8b22e0e6883fb9beb61ac3242d7e953f4c86594c30",
@@ -523,7 +521,7 @@ DETERMINISM_DIGESTS = {
     ),
     "lp-seidel": (
         "7d211644a84e7a9e18d2400f495b235cb317c69b69253a874869c61af938cba6",
-        "97286ac36208c0c2a8373e09535b56497339d00bd4a3ac2b9bf40094f4087445",
+        "eabbcb14cf89d4745732e9a1639e71c9717d71e832b0b11a38bd1c2077eef620",
     ),
     "lp-oracle": (
         "7861c70441d6891da53818959c927d7a206c6143e8e1852a896de95e5258f776",

@@ -1,6 +1,7 @@
 """LP engines and distributed LP protocols."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -314,13 +315,37 @@ def test_clarkson_multiplicity_law():
 
 
 def test_constraint_payloads_on_integer_instance_are_ints():
-    for name, seed in (("lp-clarkson", 11), ("lp-seidel", 14)):
+    for name, seed, params in (
+        ("lp-clarkson", 11, {}),
+        ("lp-seidel", 14, {}),
+        ("lp-smoothed", 12, {"sigma": 0.25, "t": 60}),
+    ):
         inst = gen_random(GenSpec("lp", n=20, d=2, L=6, s=2, seed=seed))
-        _, transcript = run_protocol(name, inst, seed=99)
+        out, transcript = run_protocol(name, inst, seed=99, **params)
         rows = [r for m in transcript.messages if m.kind == "constraints" for r in m.payload]
         rows += [m.payload for m in transcript.messages if m.kind == "constraint"]
-        assert rows
-        assert all(type(v) is int for row in rows for v in row)
+        solutions = [m.payload for m in transcript.messages if m.kind == "solution"]
+        assert rows and solutions
+        assert all(type(v) is int for row in rows + solutions for v in row)
+        if name != "lp-smoothed":  # [n_1..n_d, D] with x_j = n_j / D
+            *num, den = solutions[-1]
+            assert den > 0 and tuple(Fraction(v, den) for v in num) == out.x
+
+
+@pytest.mark.parametrize("n", [20, 60])  # every row sent at once / Clarkson samples
+def test_smoothed_rows_travel_as_base_rows(n):
+    inst = gen_random(GenSpec("lp", n=n, d=2, L=6, s=3, seed=5))
+    out, transcript = run_protocol("lp-smoothed", inst, seed=3, sigma=0.25, t=60)
+    noise = perturb_lp_stream(
+        inst, 0.25, 60, Stream(3).split("protocol", "lp-smoothed").split("smoothed-noise")
+    ).noise
+    perturbed = out.extra["perturbed"].rows
+    sent = [(m.sender.index, r) for m in transcript.messages if m.kind == "constraints" for r in m.payload]
+    assert sent
+    for sid, (i, *a, b) in sent:
+        assert inst.partition[i] == sid
+        assert (tuple(a), b) == (inst.A[i], inst.b[i])
+        assert (tuple(v + g for v, g in zip(a, noise[i])), b) == perturbed[i]
 
 
 def test_clarkson_infeasible_detected():
@@ -378,11 +403,10 @@ def test_smoothed_solution_payload_smaller():
     from commopt.commsim import Network
     from commopt.lpsolve import clarkson
 
-    plp = out_s.extra["perturbed"]
-    rows = plp.rows
-    per_server = [[rows[i] for i in inst.rows_of(sid)] for sid in range(1, inst.s + 1)]
     net = Network("coordinator", inst.s)
-    out_u = clarkson(inst, net, Stream(5).split("protocol", "lp-smoothed"), DEFAULTS, rows_override=per_server)
+    out_u = clarkson(
+        inst, net, Stream(5).split("protocol", "lp-smoothed"), DEFAULTS, perturbed=out_s.extra["perturbed"]
+    )
     bits_rounded = t_s.bits_by_kind("solution") / max(out_s.iterations, 1)
     bits_full = net.transcript.bits_by_kind("solution") / max(out_u.iterations, 1)
     assert bits_rounded < bits_full
@@ -418,7 +442,7 @@ def test_seidel_value_invariant_across_seeds():
 
 
 def test_seidel_broadcast_count_scaling():
-    total = 0
+    constraints = solutions = 0
     runs = 200
     d = 2
     for seed in range(runs):
@@ -426,8 +450,54 @@ def test_seidel_broadcast_count_scaling():
             GenSpec("lp", n=512, d=d, L=6, s=8, seed=3000 + seed, partition_policy="random")
         )
         out, _ = run_protocol("lp-seidel", inst, seed=seed)
-        total += out.extra["broadcasts"]["constraint"]
-    assert total / runs <= 4 * d * math.log2(8)
+        constraints += out.extra["broadcasts"]["constraint"]
+        solutions += out.extra["broadcasts"]["solution"]
+    assert constraints / runs <= 4 * d * math.log2(8)
+    assert solutions / runs <= 4 * d * math.log2(8)
+
+
+def test_seidel_only_server_one_publishes_optima():
+    for seed in range(10):
+        inst = gen_random(GenSpec("lp", n=60, d=2, L=6, s=4, seed=700 + seed, partition_policy="random"))
+        out, transcript = run_protocol("lp-seidel", inst, seed=seed)
+        sent = [m for m in transcript.messages if m.sender.kind == "server"]
+        assert all(m.sender.index == 1 for m in sent if m.kind == "solution")
+        assert not any(m.sender.index == 1 for m in sent if m.kind == "constraint")
+        assert out.extra["broadcasts"]["solution"] <= out.extra["broadcasts"]["constraint"] + 1
+    # Rows all on server 1: nothing else ever tests x, so only the final
+    # optimum is published.
+    inst = gen_random(GenSpec("lp", n=30, d=2, L=6, s=3, seed=7))
+    inst = replace(inst, partition=(1,) * inst.n)
+    out, transcript = run_protocol("lp-seidel", inst, seed=0)
+    solutions = [m.payload for m in transcript.messages if m.kind == "solution" and m.sender.kind == "server"]
+    assert transcript.count_kind("constraint") == 0
+    assert len(solutions) == out.extra["broadcasts"]["solution"] == 1
+    *num, den = solutions[0]
+    assert tuple(Fraction(v, den) for v in num) == out.x
+    assert out.value == lp_exact_oracle(inst)[2]
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, c",
+    [([[-1], [-1]], [0, 1], [1]), ([[1, 0], [-1, 0]], [4, 0], [0, 1])],
+    ids=["ray", "strip"],
+)
+def test_unbounded_lps_detected(rows, rhs, c):
+    inst = lp_instance(rows, rhs, c, [1, 2])
+    assert lp_exact_oracle(inst)[0] == "UNBOUNDED"
+    for name in ("lp-clarkson", "lp-seidel"):
+        out, _ = run_protocol(name, inst, seed=0)
+        assert out.status == "UNBOUNDED", name
+
+
+@pytest.mark.parametrize("c", [(1,), (0,), (0, -1), (0, 0)])
+def test_lp_without_rows_matches_oracle(c):
+    inst = Instance("lp", 0, len(c), 1, 2, (), (), c, ())
+    status, _, value = lp_exact_oracle(inst)
+    assert (status, value) == (("UNBOUNDED", None) if any(c) else ("SOLVED", 0))
+    for name, params in (("lp-clarkson", {}), ("lp-seidel", {}), ("lp-smoothed", {"sigma": 0.25, "t": 60})):
+        out, _ = run_protocol(name, inst, seed=0, **params)
+        assert (out.status, out.value) == (status, value), name
 
 
 def test_seidel_infeasible():
