@@ -85,6 +85,17 @@ def make_partition(n: int, s: int, policy: str, stream: Stream | None = None) ->
     raise ValueError(f"unknown partition policy {policy!r}")
 
 
+def box_halfspaces(d: int, bound) -> list[tuple]:
+    """|x_j| <= bound as the rows +e_j, -e_j for j = 0 .. d-1, in that order."""
+    rows = []
+    for j in range(d):
+        for sign in (1, -1):
+            e = [0] * d
+            e[j] = sign
+            rows.append((tuple(e), bound))
+    return rows
+
+
 def gen_random(spec: GenSpec) -> Instance:
     """Random instance with entries in [-2^L, 2^L] and the requested shape."""
     spec.validate()
@@ -110,19 +121,9 @@ def gen_random(spec: GenSpec) -> Instance:
         else:
             b = tuple(stream.randint(-bound, bound) for _ in range(spec.n))
         c = tuple(stream.randint(-bound, bound) for _ in range(spec.d))
-        box_rows = []
-        box_rhs = []
-        for j in range(spec.d):
-            e = [0] * spec.d
-            e[j] = 1
-            box_rows.append(tuple(e))
-            box_rhs.append(bound)
-            e = [0] * spec.d
-            e[j] = -1
-            box_rows.append(tuple(e))
-            box_rhs.append(bound)
-        A = A + box_rows
-        b = b + tuple(box_rhs)
+        box = box_halfspaces(spec.d, bound)
+        A = A + [a for a, _ in box]
+        b = b + tuple(beta for _, beta in box)
         part = part + [((spec.n + k) % spec.s) + 1 for k in range(2 * spec.d)]
         return Instance(spec.kind, len(A), spec.d, spec.L, spec.s, tuple(A), b, c, tuple(part))
     else:

@@ -14,9 +14,10 @@ exact engines back the protocols:
   recursion on violated constraints), fast for d <= 6, used as the
   subproblem solver inside the protocols.
 
-Both bound the feasible region with the box |x_j| <= d! 2^(dL) + 1, which is
-valid for every vertex of an L-bit LP by the Cramer bound, so INFEASIBLE /
-UNBOUNDED are decided exactly.
+Both, and the Clarkson and Seidel protocols, decide INFEASIBLE / UNBOUNDED
+exactly in one place, ``_verdict``: an optimum within the box |x_j| <=
+d! 2^(dL) + 1, which holds every vertex of an L-bit LP (Cramer bound), and
+a recession LP in the unit box when that optimum touches the box.
 
 Halfspaces hold ints wherever the data is integer (instance and box rows).
 Rational rows (perturbed coefficients, the l1 direction LP, cog cuts) are
@@ -36,7 +37,7 @@ import numpy as np
 from .commsim import Network, ProtocolOutcome
 from .config import Constants
 from .exactnum import INFEASIBLE, clear_denominators, dot, first_basis_solve, int_solve, transpose
-from .instances import Instance
+from .instances import Instance, box_halfspaces
 from .rng import Stream
 
 
@@ -71,17 +72,6 @@ def effective_bitlength(rows: list[Halfspace], c=None) -> int:
 
 def instance_halfspaces(inst: Instance) -> list[Halfspace]:
     return [(tuple(row), b) for row, b in zip(inst.A, inst.b)]
-
-
-def box_halfspaces(d: int, bound) -> list[Halfspace]:
-    """|x_j| <= bound as the rows +e_j, -e_j for j = 0 .. d-1, in that order."""
-    rows = []
-    for j in range(d):
-        for sign in (1, -1):
-            e = [0] * d
-            e[j] = sign
-            rows.append((tuple(e), bound))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +201,25 @@ def _certified_vertex(rows: list[Halfspace], c_int: list[int], bound: int):
     return num, den
 
 
+def _verdict(optimum, rows: list[Halfspace], c, bound):
+    """(status, x, value) of max c.x over `rows`, where `optimum(rows, box)`
+    is an optimum within |x_j| <= box, or None when there is none.
+
+    `bound` must exceed every vertex coordinate (the Cramer bound), so an
+    optimum strictly inside that box is the LP's.  One that touches it is
+    the LP's too unless a recession direction y (a.y <= 0 for every row,
+    |y_j| <= 1) has c.y > 0; then the LP is UNBOUNDED.
+    """
+    x = optimum(rows, bound)
+    if x is None:
+        return INFEASIBLE, None, None
+    if any(abs(v) == bound for v in x):
+        ray = optimum([(a, 0) for a, _ in rows], Fraction(1))
+        if ray is not None and dot(c, ray) > 0:
+            return "UNBOUNDED", None, None
+    return "SOLVED", tuple(x), dot(c, x)
+
+
 def solve_lp_enumerate(rows: list[Halfspace], c, L: int | None = None):
     """Exact LP solve: a certified float basis, else basis enumeration.
 
@@ -227,24 +236,18 @@ def solve_lp_enumerate(rows: list[Halfspace], c, L: int | None = None):
     if L is None:
         L = effective_bitlength(rows, c)
     bound = cramer_bound(d, L) + 1
-    boxed = rows + box_halfspaces(d, bound)
-    if _subset_count(len(boxed), d, ORACLE_GUARD) > CERTIFY_MIN_SUBSETS:
+    if _subset_count(len(rows) + 2 * d, d, ORACLE_GUARD) > CERTIFY_MIN_SUBSETS:
         certified = _certified_vertex(rows, clear_denominators(c), bound)
         if certified is not None:
             num, den = certified
             x = [Fraction(v, den) for v in num]
             return "SOLVED", tuple(x), dot(c, x)
-    best = _enumerate_vertices(boxed, c, ORACLE_GUARD)
-    if best is None:
-        return INFEASIBLE, None, None
-    value, x = best
-    if any(abs(v) == bound for v in x):
-        # Optimum touches the guard box: decide boundedness by recession check.
-        rec_rows = [(a, 0) for a, _ in rows] + box_halfspaces(d, 1)
-        rec = _enumerate_vertices(rec_rows, c, ORACLE_GUARD)
-        if rec is not None and rec[0] > 0:
-            return "UNBOUNDED", None, None
-    return "SOLVED", tuple(x), value
+
+    def optimum(cons, box):
+        best = _enumerate_vertices(cons + box_halfspaces(d, box), c, ORACLE_GUARD)
+        return best and best[1]
+
+    return _verdict(optimum, rows, c, bound)
 
 
 def lp_exact_oracle(inst: Instance):
@@ -316,32 +319,27 @@ def _solve_eq(cons: list[Halfspace], c, bound: Fraction, a, beta):
     return x
 
 
-def solve_lp(rows: list[Halfspace], c, stream: Stream | None = None, L: int | None = None):
-    """Exact incremental LP solve (value-correct for any insertion order).
-
-    Returns (status, x, value); the box bound makes the solver total, and an
-    optimum pinned to the box triggers the same recession test as vertex
-    enumeration.
-    """
+def _insertion_optimum(rows: list[Halfspace], c, box, stream: Stream | None = None):
+    """Optimum of the rows within |x_j| <= box by insertion in an order
+    shuffled by `stream` (given order without one), or None when infeasible."""
     rows = _int_rows(rows)
-    d = len(c)
-    if L is None:
-        L = effective_bitlength(rows, c)
-    bound = Fraction(cramer_bound(d, L) + 1)
     order = list(range(len(rows)))
     if stream is not None:
         stream.shuffle(order)
-    cons = [rows[i] for i in order]
+    return _solve_rec([rows[i] for i in order], c, box)
+
+
+def solve_lp(rows: list[Halfspace], c, stream: Stream | None = None, L: int | None = None):
+    """Exact incremental LP solve (value-correct for any insertion order).
+
+    Returns (status, x, value) through `_verdict`, with the rows inserted
+    in an order shuffled by `stream`.
+    """
+    if L is None:
+        L = effective_bitlength(_int_rows(rows), c)
     c = [Fraction(v) for v in c]
-    x = _solve_rec(cons, c, bound)
-    if x is None:
-        return INFEASIBLE, None, None
-    if any(abs(v) == bound for v in x):
-        rec_rows = [(a, 0) for a, _ in rows]
-        rec = _solve_rec(rec_rows, c, Fraction(1))
-        if rec is not None and dot(c, rec) > 0:
-            return "UNBOUNDED", None, None
-    return "SOLVED", tuple(x), dot(c, x)
+    bound = Fraction(cramer_bound(len(c), L) + 1)
+    return _verdict(lambda cons, box: _insertion_optimum(cons, c, box, stream), rows, c, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -378,119 +376,126 @@ def clarkson(
 ) -> ProtocolOutcome:
     """Sample 9d^2 constraints, solve, double the weight of violated ones.
 
-    A server sends a sampled row as its integer data [a, b].  Given
-    `perturbed`, every party works on the rows (a + g_i) x <= b instead: a
-    server sends its base row as [i, a, b] under its global index i, and the
-    coordinator adds the shared noise row g_i back (`PerturbedLP.decode`).
-    The optimum travels as one integer vector over a common denominator
-    (`_vertex_payload`); `solution_encoder` maps it instead to the payload
-    shipped to servers plus the point that servers test violations against.
-    An LP with no rows runs like any other: its subproblem is the box alone.
+    The sampling loop is the optimum that `_verdict` asks for.  Each sample
+    is solved in the box only; an infeasible sample makes the LP INFEASIBLE.
+    Only when the final optimum touches the box does the loop run once more,
+    under its own stream split, on the rows (a, 0) in the unit box, to
+    decide UNBOUNDED.  `iterations` and `history` cover both passes.
+
+    A server sends a sampled row as its integer data [a, b] ([a, 0] in the
+    second pass).  Given `perturbed`, every party works on the rows
+    (a + g_i) x <= b instead: a server sends its base row as [i, a, b] under
+    its global index i, and the coordinator adds the shared noise row g_i
+    back (`PerturbedLP.decode`).  The optimum travels as one integer vector
+    over a common denominator (`_vertex_payload`); `solution_encoder` maps
+    it instead to the payload shipped to servers plus the point that
+    servers test violations against.  An LP with no rows runs like any
+    other: its subproblem is the box alone.
     """
     d = instance.d
     c = [Fraction(v) for v in (instance.c if instance.c is not None else [0] * d)]
     if perturbed is None:
-        halfspaces = instance_halfspaces(instance)
-        wire = [[*a, b] for a, b in halfspaces]
-        decode = _decode_row
+        halfspaces, decode = instance_halfspaces(instance), _decode_row
     else:
-        halfspaces = perturbed.rows
-        wire = [[i, *a, b] for i, (a, b) in enumerate(zip(instance.A, instance.b))]
-        decode = perturbed.decode
+        halfspaces, decode = perturbed.rows, perturbed.decode
     local_idx = [instance.rows_of(sid) for sid in range(1, instance.s + 1)]
-    server_rows = [[halfspaces[i] for i in idx] for idx in local_idx]
     L = max(effective_bitlength(halfspaces, c), 1)
     n_total = len(halfspaces)
 
     _distribute_objective(instance, net)
-    # Multiplicities: one weight per (server, local row).
-    mult = [[1] * len(rs) for rs in server_rows]
-    sizes = [len(rs) for rs in server_rows]
     for sid in range(1, instance.s + 1):
-        net.to_coordinator(sid, "h-size", sizes[sid - 1])
+        net.to_coordinator(sid, "h-size", len(local_idx[sid - 1]))
 
     sample_target = 9 * d * d
     cap = math.ceil(CLARKSON_CAP * d * math.log2(n_total + 2))
     take_all = n_total <= sample_target
     history = []
+    iterations = 0
+    capped = False
+    pass_streams = iter([stream, stream.split("recession")])
 
-    for iteration in range(1, cap + 1):
-        net.mark_round()
-        # -- sample R ------------------------------------------------------
-        if take_all:
-            sent = net.gather("constraints", [[wire[i] for i in idx] for idx in local_idx])
-            sampled = [decode(r) for r in sent]
-            drawn = [dict.fromkeys(range(len(rows)), 1) for rows in server_rows]
-        else:
-            sampled, drawn = [], [{} for _ in range(instance.s)]
-            weights = [float(sum(m)) for m in mult]
-            counts = stream.split("counts", iteration).multinomial(sample_target, weights)
+    def optimum(rows: list[Halfspace], box):
+        nonlocal iterations, capped
+        keyed = next(pass_streams)
+        wire = [[*a, beta] for a, (_, beta) in zip(instance.A, rows)]
+        if perturbed is not None:
+            wire = [[i, *w] for i, w in enumerate(wire)]
+        server_rows = [[rows[i] for i in idx] for idx in local_idx]
+        # Multiplicities: one weight per (server, local row).
+        mult = [[1] * len(rs) for rs in server_rows]
+
+        for iteration in range(1, cap + 1):
+            iterations += 1
+            net.mark_round()
+            # -- sample R ------------------------------------------------------
+            if take_all:
+                sent = net.gather("constraints", [[wire[i] for i in idx] for idx in local_idx])
+                sampled = [decode(r) for r in sent]
+                drawn = [dict.fromkeys(range(len(rs)), 1) for rs in server_rows]
+            else:
+                sampled, drawn = [], [{} for _ in range(instance.s)]
+                weights = [float(sum(m)) for m in mult]
+                counts = keyed.split("counts", iteration).multinomial(sample_target, weights)
+                for sid in range(1, instance.s + 1):
+                    net.to_server(sid, "sample-count", counts[sid - 1])
+                    if counts[sid - 1] == 0:
+                        continue
+                    local = keyed.split("draw", iteration, sid)
+                    for i in local.draw_weighted(mult[sid - 1], counts[sid - 1]):
+                        drawn[sid - 1][i] = drawn[sid - 1].get(i, 0) + 1
+                    chosen = sorted(drawn[sid - 1])
+                    mine = local_idx[sid - 1]
+                    sent = net.to_coordinator(sid, "constraints", [wire[mine[i]] for i in chosen])
+                    sampled.extend(decode(r) for r in sent)
+
+            # -- solve the subproblem within the box ----------------------------
+            x_r = _insertion_optimum(sampled, c, box, keyed.split("solve", iteration))
+            if x_r is None:
+                return None
+
+            if solution_encoder is None:
+                payload, test_point = _vertex_payload(x_r), x_r
+            else:
+                payload, test_point = solution_encoder(x_r)
+            net.to_all_servers("solution", payload)
+
+            # -- violation counts over H \ R: rows that entered the sample are
+            # excluded, so grid rounding of the solution cannot re-flag the
+            # sample's own binding constraints.
+            violated_idx: list[list[int]] = []
+            v_total = 0
+            h_total = 0
             for sid in range(1, instance.s + 1):
-                net.to_server(sid, "sample-count", counts[sid - 1])
-                if counts[sid - 1] == 0:
-                    continue
-                local = stream.split("draw", iteration, sid)
-                for i in local.draw_weighted(mult[sid - 1], counts[sid - 1]):
-                    drawn[sid - 1][i] = drawn[sid - 1].get(i, 0) + 1
-                chosen = sorted(drawn[sid - 1])
-                mine = local_idx[sid - 1]
-                sent = net.to_coordinator(sid, "constraints", [wire[mine[i]] for i in chosen])
-                sampled.extend(decode(r) for r in sent)
+                vi = [
+                    i
+                    for i, (a, beta) in enumerate(server_rows[sid - 1])
+                    if drawn[sid - 1].get(i, 0) == 0 and dot(a, test_point) > beta
+                ]
+                v_count = sum(mult[sid - 1][i] for i in vi)
+                net.to_coordinator(sid, "violation-count", v_count)
+                violated_idx.append(vi)
+                v_total += v_count
+                h_total += sum(mult[sid - 1])
+            net.to_all_servers("v-total", v_total)
 
-        # -- solve the subproblem -------------------------------------------
-        status, x_r, _ = solve_lp(sampled, c, stream.split("solve", iteration), L)
-        if status == INFEASIBLE:
-            net.verdict(None, "verdict")
-            return ProtocolOutcome(INFEASIBLE, iterations=iteration)
-        if status == "UNBOUNDED":
-            net.verdict(None, "verdict")
-            return ProtocolOutcome("UNBOUNDED", iterations=iteration)
-
-        if solution_encoder is None:
-            payload, test_point = _vertex_payload(x_r), x_r
-        else:
-            payload, test_point = solution_encoder(x_r)
-        net.to_all_servers("solution", payload)
-
-        # -- violation counts over H \ R: rows that entered the sample are
-        # excluded, so grid rounding of the solution cannot re-flag the
-        # sample's own binding constraints.
-        violated_idx: list[list[int]] = []
-        v_total = 0
-        h_total = 0
-        for sid in range(1, instance.s + 1):
-            rows = server_rows[sid - 1]
-            vi = [
-                i
-                for i, (a, beta) in enumerate(rows)
-                if drawn[sid - 1].get(i, 0) == 0 and dot(a, test_point) > beta
-            ]
-            v_count = sum(mult[sid - 1][i] for i in vi)
-            net.to_coordinator(sid, "violation-count", v_count)
-            violated_idx.append(vi)
-            v_total += v_count
-            h_total += sum(mult[sid - 1])
-        net.to_all_servers("v-total", v_total)
-
-        updated = False
-        if v_total == 0:
+            updated = 0 < v_total <= Fraction(2 * h_total, 9 * d - 1)
             history.append((v_total, h_total, updated))
-            return ProtocolOutcome(
-                "SOLVED",
-                x=tuple(x_r),
-                value=dot(c, x_r),
-                iterations=iteration,
-                extra={"history": history},
-            )
-        if v_total <= Fraction(2 * h_total, 9 * d - 1):
-            # H_i <- H_i union V_i: violated unsampled constraints double.
-            updated = True
-            for sid in range(1, instance.s + 1):
-                for i in violated_idx[sid - 1]:
-                    mult[sid - 1][i] *= 2
-        history.append((v_total, h_total, updated))
+            if v_total == 0:
+                return x_r
+            if updated:
+                # H_i <- H_i union V_i: violated unsampled constraints double.
+                for sid in range(1, instance.s + 1):
+                    for i in violated_idx[sid - 1]:
+                        mult[sid - 1][i] *= 2
+        capped = True
+        return None
 
-    return ProtocolOutcome("PRESUMED_INFEASIBLE", iterations=cap, extra={"history": history})
+    status, x, value = _verdict(optimum, halfspaces, c, Fraction(cramer_bound(d, L) + 1))
+    if capped:
+        status, x, value = "PRESUMED_INFEASIBLE", None, None
+    elif status != "SOLVED":
+        net.verdict(None, "verdict")
+    return ProtocolOutcome(status, x=x, value=value, iterations=iterations, extra={"history": history})
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +525,6 @@ def sample_discrete_gaussian(sigma: float, t: int, stream: Stream) -> Fraction:
 @dataclass(frozen=True)
 class PerturbedLP:
     base: Instance
-    sigma: float
-    t: int
     noise: tuple  # rows of Fractions, multiples of 2^-t
 
     @property
@@ -545,7 +548,7 @@ def perturb_lp_stream(base: Instance, sigma: float, t: int, stream: Stream) -> P
         tuple(sample_discrete_gaussian(sigma, t, stream.split(i, j)) for j in range(base.d))
         for i in range(base.n)
     )
-    return PerturbedLP(base, sigma, t, noise)
+    return PerturbedLP(base, noise)
 
 
 def smoothed_delta(n: int, d: int, L: int, sigma: float) -> Fraction:
@@ -774,9 +777,10 @@ def seidel(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> 
     re-tests it later itself.  So every party can recompute an optimum whose
     equality stack holds no server-1 row, and only server 1 publishes
     optima: a private one, once, before another server tests a constraint
-    against it, and the final one if still private.  An optimum on the
+    against it, and the final one if still private.  The lockstep
+    insertion is the optimum that `_verdict` asks for, so an optimum on the
     guard box is checked for a recession direction by the same insertion on
-    the rows (a, 0) in the unit box, as `solve_lp` does.
+    the rows (a, 0) in the unit box.
     """
     d = instance.d
     if d > 6:
@@ -784,7 +788,6 @@ def seidel(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> 
     c = [Fraction(v) for v in (instance.c if instance.c is not None else [0] * d)]
     all_rows = instance_halfspaces(instance)
     L = max(effective_bitlength(all_rows, c), 1)
-    bound = Fraction(cramer_bound(d, L) + 1)
 
     _distribute_objective(instance, net)
 
@@ -846,18 +849,10 @@ def seidel(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> 
             publish(x)
         return x
 
-    cons = [all_rows[i] for i in order]
-    x = insert(cons, bound)
-    status = INFEASIBLE if x is None else "SOLVED"
-    if x is not None and any(abs(v) == bound for v in x):
-        if dot(c, insert([(a, 0) for a, _ in cons], Fraction(1))) > 0:
-            status = "UNBOUNDED"
+    status, x, value = _verdict(insert, [all_rows[i] for i in order], c, Fraction(cramer_bound(d, L) + 1))
     for sid in range(1, instance.s + 1):
         net.verdict(sid, "segment-done")
-    extra = {"broadcasts": dict(broadcasts)}
-    if status != "SOLVED":
-        return ProtocolOutcome(status, extra=extra)
-    return ProtocolOutcome("SOLVED", x=tuple(x), value=dot(c, x), extra=extra)
+    return ProtocolOutcome(status, x=x, value=value, extra={"broadcasts": dict(broadcasts)})
 
 
 # ---------------------------------------------------------------------------

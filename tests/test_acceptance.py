@@ -600,6 +600,65 @@ def test_sampling_branch_digest(name, spec, params):
     assert digests == SAMPLING_BRANCH_DIGESTS[name]
 
 
+# Clarkson's sampling branch (n + 2d above 9d^2), which the determinism set's
+# LPs never reach: each case is (id, protocol, instance spec, params).
+CLARKSON_SAMPLING_SET = [
+    ("lp-clarkson-d2", "lp-clarkson", GenSpec("lp", n=60, d=2, L=8, s=4, seed=11), {}),
+    ("lp-clarkson-d3", "lp-clarkson", GenSpec("lp", n=100, d=3, L=8, s=4, seed=13), {}),
+    ("lp-smoothed", "lp-smoothed", GenSpec("lp", n=60, d=2, L=8, s=4, seed=12), {"sigma": 0.25, "t": 60}),
+    ("linf", "linf", GenSpec("regression", n=100, d=2, L=8, s=4, seed=9), {}),
+]
+
+# (sha256 of signature(), sha256 of the transcript CSV) per (case, mode).
+CLARKSON_SAMPLING_DIGESTS = {
+    ("lp-clarkson-d2", "coordinator"): (
+        "70cd4b2037055ad741f9b01ad7f328a76d6c0a9647c2ce08cf505f918828dffa",
+        "1f2bfc31e42179781946f9d5bdfa2324f6b054e273b7747f1ec4a806b2ac28c3",
+    ),
+    ("lp-clarkson-d2", "blackboard"): (
+        "70cd4b2037055ad741f9b01ad7f328a76d6c0a9647c2ce08cf505f918828dffa",
+        "4117f11accdb3233d561fcfe61619b5e00a060e0ea75560e977b87b8ed502056",
+    ),
+    ("lp-clarkson-d3", "coordinator"): (
+        "51a638552c21eb5aa4cc02112642f94745cbcfbd25124c5bcd0051c8768bec5c",
+        "86ce19a4eca7b84650d32fdada308804c9525a3c792c05ab3cb88bfa14c851a6",
+    ),
+    ("lp-clarkson-d3", "blackboard"): (
+        "51a638552c21eb5aa4cc02112642f94745cbcfbd25124c5bcd0051c8768bec5c",
+        "dd64c32fb07484c07272200de05282db79c990dab4d54473c31840d4ec3d3fab",
+    ),
+    ("lp-smoothed", "coordinator"): (
+        "8f4cb0a2c226900fbb228ef63ba501e3d2027e9d08a34de8689a7076c8b302d3",
+        "b8bb9412855213b8ec9b4d19a26abaaeed932ca76ceeb12a29bcacff3be95894",
+    ),
+    ("lp-smoothed", "blackboard"): (
+        "8f4cb0a2c226900fbb228ef63ba501e3d2027e9d08a34de8689a7076c8b302d3",
+        "b0ec3f1b3ca435173259a785beee6e6f3e20967fc984155377768b07dff41694",
+    ),
+    ("linf", "coordinator"): (
+        "3836dd354e13b15c58b9efd63e0e3f185e6cc5b64be8b8873607391b93b06280",
+        "11a0c7c95b457b36e79a58322d7a5c065f8ed9d20e3d65d46c0a51575a9c0dee",
+    ),
+    ("linf", "blackboard"): (
+        "3836dd354e13b15c58b9efd63e0e3f185e6cc5b64be8b8873607391b93b06280",
+        "dbb903192d5a015db422a1ef10d783ced53fb6b75f8fef83591211f137074e32",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["coordinator", "blackboard"])
+@pytest.mark.parametrize(
+    "case, name, spec, params", CLARKSON_SAMPLING_SET, ids=[case for case, *_ in CLARKSON_SAMPLING_SET]
+)
+def test_clarkson_sampling_digest(case, name, spec, params, mode):
+    out, transcript = run_protocol(name, gen_random(spec), mode=mode, seed=99, **params)
+    assert transcript.count_kind("sample-count") > 0  # the sampling branch ran
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest() for text in (out.signature(), transcript.to_csv())
+    )
+    assert digests == CLARKSON_SAMPLING_DIGESTS[case, mode]
+
+
 # linsys-feas-rand on a blackboard, where servers publish their new residue
 # rows directly instead of probing: one feasible and one infeasible instance.
 BLACKBOARD_FEASIBILITY_SET = [

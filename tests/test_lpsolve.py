@@ -490,6 +490,38 @@ def test_unbounded_lps_detected(rows, rhs, c):
         assert out.status == "UNBOUNDED", name
 
 
+def _many_row_lp(rows, rhs, c):
+    n = len(rows)
+    return Instance("lp", n, 2, 8, 4, tuple(rows), tuple(rhs), c, tuple((i % 4) + 1 for i in range(n)))
+
+
+# 200-row LPs whose Clarkson samples are mostly unbounded: only the last
+# rows bound (or empty) the region, and a sample of 36 rarely holds them.
+MANY_ROW_LPS = {
+    "bounded": _many_row_lp(
+        [(0, 1)] * 197 + [(0, -1), (1, 0), (-1, 0)], [*range(1, 198), 10, 5, 5], (1, 1)
+    ),
+    "infeasible": _many_row_lp([(0, 1)] * 199 + [(0, -1)], [*range(1, 200), -500], (1, 1)),
+    "unbounded": _many_row_lp([(0, 1)] * 200, list(range(1, 201)), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("mode", ["coordinator", "blackboard"])
+@pytest.mark.parametrize("kind", sorted(MANY_ROW_LPS))
+def test_clarkson_decides_the_lp_not_its_sample(kind, mode):
+    """An unbounded sample no longer makes the LP UNBOUNDED."""
+    inst = MANY_ROW_LPS[kind]
+    status, _, value = lp_exact_oracle(inst)
+    assert status == {"bounded": "SOLVED", "infeasible": INFEASIBLE, "unbounded": "UNBOUNDED"}[kind]
+    for seed in range(10):
+        out, _ = run_protocol("lp-clarkson", inst, mode=mode, seed=seed)
+        assert (out.status, out.value) == (status, value), seed
+        out, _ = run_protocol("lp-smoothed", inst, mode=mode, seed=seed, sigma=0.25, t=60)
+        assert out.status == status, seed
+        if status == "SOLVED":
+            assert out.value == solve_lp_enumerate(out.extra["perturbed"].rows, inst.c)[2], seed
+
+
 @pytest.mark.parametrize("c", [(1,), (0,), (0, -1), (0, 0)])
 def test_lp_without_rows_matches_oracle(c):
     inst = Instance("lp", 0, len(c), 1, 2, (), (), c, ())
