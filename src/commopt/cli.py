@@ -20,6 +20,7 @@ from .commsim import run_protocol
 from .config import DEFAULTS
 from .exactnum import INFEASIBLE, dot, leverage_scores, min_norm_least_squares, rank_and_solve
 from .instances import GenSpec, gen_random, read_instance, write_instance
+from .linsys import verify_solution
 from .lpsolve import SizeGuardError, lp_exact_oracle, solve_lp_enumerate
 from .regression import l1_exact_oracle, l2_sq_norm, linf_lp_instance
 from .rowsample import lewis_weights_local
@@ -130,7 +131,7 @@ def _bench_oracle_check(name: str, inst, outcome, params: dict) -> bool:
             return feasible
         if outcome.x is None:
             return False
-        return all(dot(row, outcome.x) == b for row, b in zip(inst.A, inst.b))
+        return verify_solution(inst, outcome.x)
     if name in ("leverage", "lewis"):
         # Most entries within a factor 8 of the exact scores / local weights.
         rows = [inst.A[i] for sid in range(1, inst.s + 1) for i in inst.rows_of(sid)]

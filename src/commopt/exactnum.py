@@ -6,8 +6,10 @@ Finite-field work happens on plain ints reduced mod a prime.
 
 All linear algebra here is exact and fraction-free: the protocols' row
 elimination runs in one integer kernel, `RowBasis`, for both Q and F_p, and
-square solves and determinants in one Bareiss loop.  `rank_and_solve`, a
-Fraction Gauss-Jordan, is kept only as the independent reference.
+square solves and determinants in one Bareiss loop.  The normal equations
+and leverage scores factor the Gram's pseudo-inverse once, in integers over
+one denominator (`_range_solve`).  `rank_and_solve`, a fraction-free
+Gauss-Jordan in its own loop, is kept only as the independent reference.
 Floating-point approximations live in the sampling and gradient modules,
 where approximation is inherent.
 """
@@ -32,10 +34,6 @@ class DimensionError(ValueError):
 # ---------------------------------------------------------------------------
 # Exact dense helpers
 # ---------------------------------------------------------------------------
-
-
-def _as_rows(matrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in matrix]
 
 
 def clear_denominators(row: Sequence) -> list[int]:
@@ -200,75 +198,73 @@ class AugmentedBasis:
 # ---------------------------------------------------------------------------
 
 
+def _coprime(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
 def rank_and_solve(matrix, rhs: Sequence | None = None):
     """Exact Gaussian elimination over the rationals.
 
     Returns ``(rank, basis_row_indices, solution)`` where ``solution`` is an
     exact vector with ``A x = rhs`` (free variables set to zero), the string
     ``INFEASIBLE`` when no solution exists, or ``None`` when no rhs is given.
+
+    The independent reference for the protocols' kernels, with which it
+    shares no code: a fraction-free Gauss-Jordan in its own loop.  Each row
+    is held as coprime integers, a nonzero multiple of the row a Fraction
+    Gauss-Jordan holds, so the zero pattern and every pivot choice are the
+    same.  An elimination step is ``row * piv - f * pivot_row`` divided by
+    its content.
     """
-    rows = _as_rows(matrix)
-    if not rows:
+    if not matrix:
         raise DimensionError("empty matrix")
-    n, d = len(rows), len(rows[0])
+    n, d = len(matrix), len(matrix[0])
     if rhs is not None and len(rhs) != n:
         raise DimensionError("rhs length mismatch")
 
-    aug = [row + ([Fraction(rhs[i])] if rhs is not None else []) for i, row in enumerate(rows)]
+    aug = []
+    for i, row in enumerate(matrix):
+        row = [Fraction(v) for v in (row if rhs is None else [*row, rhs[i]])]
+        den = math.lcm(*(v.denominator for v in row))
+        aug.append(_coprime([v.numerator * (den // v.denominator) for v in row]))
     order = list(range(n))
-    width = d + (1 if rhs is not None else 0)
 
     pivot_cols: list[int] = []
-    basis_rows: list[int] = []
     r = 0
     for col in range(d):
-        sel = None
-        for i in range(r, n):
-            if aug[i][col]:
-                sel = i
-                break
+        sel = next((i for i in range(r, n) if aug[i][col]), None)
         if sel is None:
             continue
         aug[r], aug[sel] = aug[sel], aug[r]
         order[r], order[sel] = order[sel], order[r]
-        piv = aug[r][col]
-        aug[r] = [x / piv for x in aug[r]]
+        pivot_row = aug[r]
+        piv = pivot_row[col]
         for i in range(n):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+            f = aug[i][col]
+            if f and i != r:
+                aug[i] = _coprime([a * piv - f * b for a, b in zip(aug[i], pivot_row)])
         pivot_cols.append(col)
-        basis_rows.append(order[r])
         r += 1
         if r == n:
             break
 
-    rank = r
+    basis_rows = sorted(order[:r])
     if rhs is None:
-        return rank, sorted(basis_rows), None
-
-    for i in range(rank, n):
-        if aug[i][d]:
-            return rank, sorted(basis_rows), INFEASIBLE
+        return r, basis_rows, None
+    if any(aug[i][d] for i in range(r, n)):
+        return r, basis_rows, INFEASIBLE
     x = [Fraction(0)] * d
-    for k, col in enumerate(pivot_cols):
-        x[col] = aug[k][d]
-    return rank, sorted(basis_rows), x
+    for row, col in zip(aug, pivot_cols):
+        x[col] = Fraction(row[d], row[col])
+    return r, basis_rows, x
 
 
-def solve_exact(matrix, rhs: Sequence):
-    """Exact solution of A x = rhs, free variables set to zero; None when inconsistent.
-
-    The same vector `rank_and_solve` returns: both read the unique reduced
-    echelon form of [A | rhs].
-    """
-    if not matrix or len(rhs) != len(matrix):
-        raise DimensionError("empty matrix or rhs length mismatch")
-    basis = AugmentedBasis(len(matrix[0]))
-    for row, beta in zip(matrix, rhs):
-        if basis.insert(row, beta) == "inconsistent":
-            return None
-    return basis.solution()
+def _clear_rows(rows) -> tuple[list[list[int]], int]:
+    """Integer rows equal to the rational `rows` times `den`, the lcm of all
+    their denominators."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
 def min_norm_least_squares(matrix, rhs: Sequence) -> list[Fraction]:
@@ -279,24 +275,13 @@ def min_norm_least_squares(matrix, rhs: Sequence) -> list[Fraction]:
 def solve_normal(g: Sequence[Sequence], y: Sequence) -> list[Fraction]:
     """Minimum-norm solution of the normal equations G x = y, G = A^T A, y = A^T b.
 
-    Solved through a rank factorization of G: the minimizer is sought inside
-    the row space of A, where the restricted normal system is nonsingular.
+    G and y are cleared to integers by one common denominator, which leaves
+    the solutions as they are, and solved by `_range_solve` over one integer
+    denominator: the minimizer is G^+ y.
     """
-    space = RowBasis()
-    basis = [row for row in g if space.insert(row)]  # spans range(G) = rowspace(A)
-    if not basis:
-        return [Fraction(0)] * len(g)
-    g_basis = [mat_vec(g, bj) for bj in basis]
-    m = [[dot(bi, gbj) for gbj in g_basis] for bi in basis]
-    t = [dot(bi, y) for bi in basis]
-    u = solve_exact(m, t)
-    if u is None:
-        raise RuntimeError("restricted normal system is singular")
-    x = [Fraction(0)] * len(g)
-    for coeff, brow in zip(u, basis):
-        for j, v in enumerate(brow):
-            x[j] += coeff * v
-    return x
+    aug, _ = _clear_rows([[*row, v] for row, v in zip(g, y)])
+    z, det, _ = _range_solve(aug, len(g))
+    return [Fraction(row[0], det) for row in z]
 
 
 def _bareiss(rows: list[list[int]], n: int) -> int:
@@ -351,6 +336,33 @@ def int_solve(matrix, rhs: Sequence) -> tuple[list[int], int] | None:
     if last < 0:
         return [-row[n] for row in rows], -last
     return [row[n] for row in rows], last
+
+
+def _range_solve(aug: list[list[int]], d: int) -> tuple[list[list[int]], int, RowBasis | None]:
+    """``(z, det, span)`` with ``z = det * G^+ Y``, for the integer rows [G | Y]
+    of a symmetric G = B^T B and a block Y whose columns lie in range(G).
+
+    A nonsingular G takes one Bareiss Gauss-Jordan on [G | Y], and `span` is
+    None.  Otherwise `span` is the `RowBasis` of G's rows, and R the rows it
+    found independent: they span range(G) = rowspace(B), so G_R x = y_R has
+    the solutions of G x = y, and the least-norm one is
+    G_R^T (G_R G_R^T)^-1 y_R.  That is one Bareiss on [G_R G_R^T | Y_R],
+    whose entries are about G^2 in size, then G_R^T.  `det` is nonzero.
+    """
+    rows = [list(row) for row in aug]
+    if _bareiss(rows, d):
+        # Row i ends with D (G^-1 Y)_i, D = det(P G) being the last pivot.
+        return [row[d:] for row in rows], rows[-1][d - 1], None
+    span = RowBasis()
+    basis = [row for row in aug if span.insert(row[:d])]
+    if not basis:
+        return [[0] * (len(aug[0]) - d) for _ in range(d)], 1, span
+    w = [row[:d] for row in basis]
+    r = len(w)
+    rows = [[*(dot(u, v) for v in w), *row[d:]] for u, row in zip(w, basis)]
+    _bareiss(rows, r)  # G_R has full row rank, so G_R G_R^T is nonsingular
+    u = transpose([row[r:] for row in rows])
+    return [[dot(wj, uc) for uc in u] for wj in transpose(w)], rows[-1][r - 1], span
 
 
 def first_basis_solve(rows, rhs: Sequence, order, d: int):
@@ -445,29 +457,28 @@ def leverage_scores(matrix, base=None) -> list:
     Returns one exact rational per row, or INFINITY for rows outside the
     row space of B.  With ``base=None`` ordinary leverage scores are
     computed (B = A), which always lie in [0, 1] and sum to rank(A).
+
+    B is cleared to integers c B by one common denominator c, and the Gram's
+    pseudo-inverse is factored once by `_range_solve`, as
+    z = det (c^2 B^T B)^+ on rowspace(B).  Each score a^T (B^T B)^+ a is then
+    the integer form c^2 a^T z a over det.
     """
     a_rows = list(matrix)
     b_rows = a_rows if base is None else list(base)
     if b_rows and a_rows and len(b_rows[0]) != len(a_rows[0]):
         raise DimensionError("column count mismatch")
-
-    space = RowBasis()
-    for row in b_rows:
-        space.insert(row)
-    g = gram(b_rows)  # only read for nonzero rows inside rowspace(B), so B is nonempty
+    if not a_rows:
+        return []
+    d = len(a_rows[0])
+    ints, c = _clear_rows(b_rows)
+    g = gram(ints) or [[0] * d for _ in range(d)]
+    aug = [[*row, *(int(i == j) for j in range(d))] for i, row in enumerate(g)]
+    z, det, span = _range_solve(aug, d)
 
     scores = []
     for row in a_rows:
-        if not space.contains(row):
+        if span is not None and not span.contains(row):
             scores.append(INFINITY)
-            continue
-        if not any(row):
-            scores.append(Fraction(0))
-            continue
-        z = solve_exact(g, row)
-        # Row is in rowspace(B) = range(G), so the system is consistent and
-        # any solution yields the same quadratic form value.
-        if z is None:
-            raise RuntimeError("row inside rowspace(B) has no solution of G z = row")
-        scores.append(dot(row, z))
+        else:
+            scores.append(Fraction(c * c * dot(row, mat_vec(z, row)), det))
     return scores

@@ -16,12 +16,11 @@ Three protocols over a row-partitioned system A x = b:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 from .commsim import BLACKBOARD_MODE, Network, ProtocolOutcome
 from .config import Constants
-from .exactnum import INFEASIBLE, AugmentedBasis, random_prime
+from .exactnum import INFEASIBLE, AugmentedBasis, clear_denominators, dot, random_prime
 from .instances import Instance
 from .rng import Stream
 
@@ -150,8 +149,10 @@ def rand_solve(instance: Instance, net: Network, stream: Stream, cfg: Constants)
 
 
 def verify_solution(instance: Instance, x) -> bool:
-    """Harness-side exact check that A x = b; outside the transcript."""
-    for row, beta in zip(instance.A, instance.b):
-        if sum(Fraction(a) * xv for a, xv in zip(row, x)) != beta:
-            return False
-    return True
+    """Harness-side exact check that A x = b; outside the transcript.
+
+    x is cleared once to integers num / den, so each row is checked as
+    a . num == den * beta in integers.
+    """
+    *num, den = clear_denominators([*x, 1])
+    return all(dot(row, num) == den * beta for row, beta in zip(instance.A, instance.b))

@@ -18,6 +18,7 @@ import numpy as np
 from .commsim import Network, ProtocolOutcome
 from .config import Constants
 from .exactnum import (
+    clear_denominators,
     dot,
     first_basis_solve,
     int_solve,
@@ -54,8 +55,20 @@ class RegressionResult:
 # ---------------------------------------------------------------------------
 
 
+def _residual_sum(rows, rhs, x, power: int) -> Fraction:
+    """sum |a_i x - b_i|**power over the rows, in integers.
+
+    x (ints or Fractions) is cleared once to integers num / den, so the sum
+    runs over the integer residuals |a_i num - den b_i|**power and is divided
+    by den**power once.
+    """
+    *num, den = clear_denominators([*x, 1])
+    total = sum(abs(dot(row, num) - den * b) ** power for row, b in zip(rows, rhs))
+    return Fraction(total, den**power)
+
+
 def l2_sq_norm(rows, rhs, x) -> Fraction:
-    return sum((dot(row, x) - b) ** 2 for row, b in zip(rows, rhs))
+    return _residual_sum(rows, rhs, x, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -64,21 +77,16 @@ def l2_sq_norm(rows, rhs, x) -> Fraction:
 
 
 def _value_round(instance: Instance, net: Network, x, kind: str, power: int) -> Fraction:
-    """Broadcast x; each server sends the sum of |residual|**power over its rows.
-
-    x (ints or Fractions) is cleared once to integers num / den, so a server
-    sums the integer residuals |A_i num - den b_i|**power and divides by
-    den**power once.
-    """
+    """Broadcast x; each server sends the sum of |residual|**power over its
+    rows, from `_residual_sum`."""
     net.to_all_servers("solution", list(x))
-    den = math.lcm(*(v.denominator for v in x))
-    num = [v.numerator * (den // v.denominator) for v in x]
     total = Fraction(0)
     for sid in range(1, instance.s + 1):
-        local = sum(
-            abs(dot(instance.A[i], num) - den * instance.b[i]) ** power for i in instance.rows_of(sid)
+        rows = instance.rows_of(sid)
+        local = _residual_sum(
+            [instance.A[i] for i in rows], [instance.b[i] for i in rows], x, power
         )
-        total += net.to_coordinator(sid, kind, Fraction(local, den ** power))
+        total += net.to_coordinator(sid, kind, local)
     return total
 
 

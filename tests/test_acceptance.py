@@ -659,6 +659,48 @@ def test_clarkson_sampling_digest(case, name, spec, params, mode):
     assert digests == CLARKSON_SAMPLING_DIGESTS[case, mode]
 
 
+# lp-embed on n in the hundreds.  Its float path (`regression.lp_norm_fit`)
+# rounds differently when BLAS reads the same rows through another memory
+# layout, and the determinism set's n = 6 instance does not show that; these
+# do.  Each case is (id, instance spec, params).
+LP_EMBED_SET = [
+    ("p4-n300", GenSpec("regression", n=300, d=3, L=6, s=4, seed=10), {"p": 4.0, "eps": 0.5}),
+    ("p3-n200", GenSpec("regression", n=200, d=3, L=6, s=4, seed=20), {"p": 3.0, "eps": 0.5}),
+]
+
+# (sha256 of signature(), sha256 of the transcript CSV) per (case, mode).
+LP_EMBED_DIGESTS = {
+    ("p4-n300", "coordinator"): (
+        "7f55e6c65854c6f82b905259987e2eb74855585d81ba35f7030955224cb93cfd",
+        "b55b7dee26320dd6744d2bacc7876531fc04ec1a8d2cb9c9087a4ba311a8a940",
+    ),
+    ("p4-n300", "blackboard"): (
+        "7f55e6c65854c6f82b905259987e2eb74855585d81ba35f7030955224cb93cfd",
+        "e1a0b8f8d400264977c4227f248fc0cdadc596fb6e98fad1325569c41e841541",
+    ),
+    ("p3-n200", "coordinator"): (
+        "d6c125c34c6bde8938078b2f664eb9e95f4f657492d2f28d6176f7dd0d305399",
+        "c3e41dc6efadc03537aa92ec61aa6639a3f86993ede1f021e17c0bbeec6e8824",
+    ),
+    ("p3-n200", "blackboard"): (
+        "d6c125c34c6bde8938078b2f664eb9e95f4f657492d2f28d6176f7dd0d305399",
+        "9c9ca248453af60abaa7f4abd201dcd3f0fbac2e087f112dc3e76ea16f0f8900",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["coordinator", "blackboard"])
+@pytest.mark.parametrize(
+    "case, spec, params", LP_EMBED_SET, ids=[case for case, *_ in LP_EMBED_SET]
+)
+def test_lp_embed_digest(case, spec, params, mode):
+    out, transcript = run_protocol("lp-embed", gen_random(spec), mode=mode, seed=99, **params)
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest() for text in (out.signature(), transcript.to_csv())
+    )
+    assert digests == LP_EMBED_DIGESTS[case, mode]
+
+
 # linsys-feas-rand on a blackboard, where servers publish their new residue
 # rows directly instead of probing: one feasible and one infeasible instance.
 BLACKBOARD_FEASIBILITY_SET = [

@@ -23,7 +23,6 @@ from commopt.exactnum import (
     min_norm_least_squares,
     rank_and_solve,
     random_prime,
-    solve_exact,
     transpose,
 )
 from commopt.rng import Stream
@@ -59,9 +58,18 @@ def test_rank_and_solve_dimension_mismatch():
         rank_and_solve([[1, 2]], [1, 2])
 
 
+def _augmented_solution(a, b):
+    """AugmentedBasis.solution() after inserting [a | b]; None when inconsistent."""
+    basis = AugmentedBasis(len(a[0]))
+    for row, beta in zip(a, b):
+        if basis.insert(row, beta) == "inconsistent":
+            return None
+    return basis.solution()
+
+
 def test_solutions_are_reduced_fractions():
     rows = [[6, 4], [2, 8]]
-    x = solve_exact(rows, [3, 5])
+    x = _augmented_solution(rows, [3, 5])
     for v in x:
         assert v.denominator >= 1
         assert math.gcd(abs(v.numerator), v.denominator) == 1
@@ -155,23 +163,67 @@ def test_augmented_basis_verdicts_match_prefix_ranks(system):
 
 @settings(max_examples=300, deadline=None)
 @given(rational_systems())
-def test_solve_exact_matches_rank_and_solve(system):
+def test_augmented_basis_matches_rank_and_solve_on_rational_systems(system):
     a, b = system
     _, _, x = rank_and_solve(a, b)
-    got = solve_exact(a, b)
+    got = _augmented_solution(a, b)
     assert (got is None) == (x == INFEASIBLE)
     if got is not None:
         assert repr(got) == repr(x)
 
 
+def _reference_rank_and_solve(matrix, rhs=None):
+    """`rank_and_solve` as a plain Fraction Gauss-Jordan: each pivot row is
+    scaled to lead with 1 and cleared from every other row."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    n, d = len(rows), len(rows[0])
+    aug = [row + ([Fraction(rhs[i])] if rhs is not None else []) for i, row in enumerate(rows)]
+    order = list(range(n))
+    pivot_cols, basis_rows = [], []
+    r = 0
+    for col in range(d):
+        sel = next((i for i in range(r, n) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        order[r], order[sel] = order[sel], order[r]
+        piv = aug[r][col]
+        aug[r] = [v / piv for v in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [u - f * v for u, v in zip(aug[i], aug[r])]
+        pivot_cols.append(col)
+        basis_rows.append(order[r])
+        r += 1
+        if r == n:
+            break
+    if rhs is None:
+        return r, sorted(basis_rows), None
+    if any(aug[i][d] for i in range(r, n)):
+        return r, sorted(basis_rows), INFEASIBLE
+    x = [Fraction(0)] * d
+    for k, col in enumerate(pivot_cols):
+        x[col] = aug[k][d]
+    return r, sorted(basis_rows), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems(), st.booleans())
+def test_rank_and_solve_matches_fraction_reference(system, with_rhs):
+    a, b = system
+    rhs = b if with_rhs else None
+    assert repr(rank_and_solve(a, rhs)) == repr(_reference_rank_and_solve(a, rhs))
+
+
 def _reference_solve_normal(g, y):
     """Minimum-norm solve of G x = y on Fraction Gauss-Jordan alone."""
-    rank, basis_idx, _ = rank_and_solve(g)
+    rank, basis_idx, _ = _reference_rank_and_solve(g)
     if rank == 0:
         return [Fraction(0)] * len(g)
     basis = [g[i] for i in basis_idx]
     m = [[dot(bi, mat_vec(g, bj)) for bj in basis] for bi in basis]
-    _, _, u = rank_and_solve(m, [dot(bi, y) for bi in basis])
+    _, _, u = _reference_rank_and_solve(m, [dot(bi, y) for bi in basis])
     x = [Fraction(0)] * len(g)
     for coeff, brow in zip(u, basis):
         for j, v in enumerate(brow):
@@ -269,6 +321,55 @@ def test_leverage_scores_sum_to_rank():
         scores = leverage_scores(rows)
         assert sum(scores, Fraction(0)) == rank
         assert all(0 <= t <= 1 for t in scores)
+
+
+@st.composite
+def leverage_cases(draw):
+    """(A, B): B = C W of rank at most k, integer or with small denominators;
+    each row of A is in rowspace(B) (a combination of W's rows) or drawn
+    freely, so often outside it when B is deficient."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(0, d))
+    integer = draw(st.booleans())
+    entry = st.builds(Fraction, st.integers(-3, 3), st.just(1) if integer else st.integers(1, 4))
+
+    def combos(count):
+        return [
+            [sum((c * w[j] for c, w in zip(coeffs, basis)), Fraction(0)) for j in range(d)]
+            for coeffs in ([draw(entry) for _ in range(k)] for _ in range(count))
+        ]
+
+    basis = [[draw(entry) for _ in range(d)] for _ in range(k)]
+    b = combos(draw(st.integers(1, 6)))
+    a = [
+        combos(1)[0] if draw(st.booleans()) else [draw(entry) for _ in range(d)]
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    if integer:
+        a, b = [[int(v) for v in row] for row in a], [[int(v) for v in row] for row in b]
+    return a, b
+
+
+def _reference_leverage_scores(matrix, base):
+    """One Fraction solve of G z = a per row a, G = B^T B: score a.z, or
+    INFINITY when a raises the rank of B."""
+    rank = _reference_rank_and_solve(base)[0]
+    g = gram(base)
+    scores = []
+    for row in matrix:
+        if _reference_rank_and_solve([*base, row])[0] > rank:
+            scores.append(INFINITY)
+        else:
+            scores.append(dot(row, _reference_rank_and_solve(g, row)[2]))
+    return scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(leverage_cases())
+def test_leverage_scores_match_per_row_reference(case):
+    a, b = case
+    assert repr(leverage_scores(a, base=b)) == repr(_reference_leverage_scores(a, b))
+    assert repr(leverage_scores(b)) == repr(_reference_leverage_scores(b, b))
 
 
 def test_gram_and_det():
