@@ -218,7 +218,6 @@ def validate_transcript(transcript: Transcript, s: int):
     broadcast) is priced once; the transcript keeps it alive, so its id is
     stable for the whole call.
     """
-    addr = max(1, math.ceil(math.log2(max(s, 2))))
     pricer = Network(transcript.mode, s)
     priced: dict[int, int] = {}
     for m in transcript.messages:
@@ -231,7 +230,7 @@ def validate_transcript(transcript: Transcript, s: int):
         key = id(m.payload)
         if key not in priced:
             priced[key] = pricer.payload_bits(m.payload)
-        ceil_bits = max(priced[key], 1) + addr
+        ceil_bits = max(priced[key], 1) + pricer._addr_bits
         if not floor_bits <= m.bits <= ceil_bits:
             raise ProtocolError(f"message bits {m.bits} outside [{floor_bits}, {ceil_bits}]")
     return True

@@ -399,7 +399,7 @@ def clarkson(
     else:
         halfspaces, decode = perturbed.rows, perturbed.decode
     local_idx = [instance.rows_of(sid) for sid in range(1, instance.s + 1)]
-    L = max(effective_bitlength(halfspaces, c), 1)
+    L = effective_bitlength(halfspaces, c)
     n_total = len(halfspaces)
 
     _distribute_objective(instance, net)
@@ -787,7 +787,7 @@ def seidel(instance: Instance, net: Network, stream: Stream, cfg: Constants) -> 
         raise SizeGuardError("seidel recursion is limited to d <= 6")
     c = [Fraction(v) for v in (instance.c if instance.c is not None else [0] * d)]
     all_rows = instance_halfspaces(instance)
-    L = max(effective_bitlength(all_rows, c), 1)
+    L = effective_bitlength(all_rows, c)
 
     _distribute_objective(instance, net)
 

@@ -44,17 +44,18 @@ def _build() -> dict[str, Entry]:
 _REGISTRY: dict[str, Entry] | None = None
 
 
-def lookup(name: str) -> Entry:
+def _table() -> dict[str, Entry]:
     global _REGISTRY
     if _REGISTRY is None:
         _REGISTRY = _build()
-    if name not in _REGISTRY:
+    return _REGISTRY
+
+
+def lookup(name: str) -> Entry:
+    if name not in _table():
         raise ProtocolError(f"unknown protocol {name!r}")
-    return _REGISTRY[name]
+    return _table()[name]
 
 
 def names() -> list[str]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build()
-    return sorted(_REGISTRY)
+    return sorted(_table())

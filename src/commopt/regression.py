@@ -100,7 +100,7 @@ def l2_exact(instance: Instance, net: Network, stream: Stream, cfg: Constants) -
     """
     d = instance.d
     views = [(sid, instance.server_aug_rows(sid)) for sid in range(1, instance.s + 1)]
-    g_aug, _ = _shared_gram(views, d + 1, net, "gram", share=False)
+    g_aug = _shared_gram(views, d + 1, net, "gram", share=False)
     y = [row[d] for row in g_aug[:d]]
     x = solve_normal([row[:d] for row in g_aug[:d]], y)
     value = math.sqrt(float(g_aug[d][d] - dot(x, y)))
@@ -122,7 +122,7 @@ def l2_sampled(
         sampled = net.gather("rows", aug_views)
     else:
         views = [instance.server_rows(sid) for sid in range(1, instance.s + 1)]
-        _, taus = leverage_protocol(views, d, net, stream.split("lev"), cfg)
+        taus = leverage_protocol(views, d, net, stream.split("lev"), cfg)
         plans = _coordinated_plans(taus, target, "l2", net)
         sampled = _distributed_sample(aug_views, plans, net, stream.split("sample"), "l2samp")
     rows, rhs = [r[:-1] for r in sampled], [r[-1] for r in sampled]
@@ -564,7 +564,7 @@ def l1_agd(
 
     # -- Warm start: exact l2 on the sampled system, which every party solves
     # from the shared Gram of the sampled [SA | Sb].
-    g_aug, _ = _shared_gram(enumerate(sampled_views, start=1), d + 1, net, "gram")
+    g_aug = _shared_gram(enumerate(sampled_views, start=1), d + 1, net, "gram")
     g_sum = [row[:d] for row in g_aug[:d]]
     x0_exact = solve_normal(g_sum, [row[d] for row in g_aug[:d]])
     x0 = np.array([float(v) for v in x0_exact])

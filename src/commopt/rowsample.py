@@ -171,24 +171,22 @@ def _shared_gram(server_rows, d: int, net: Network, kind: str, share: bool = Tru
     """The one Gram exchange.  Each server with rows sends the upper triangle
     of its exact Gram (row i holds entries i..d-1); the coordinator sums the
     triangles and, if `share`, sends every server the summed triangle.
-    Returns (the full symmetric sum, row count), or ([], 0)."""
-    total = [[0] * (d - i) for i in range(d)]
-    count = 0
+    Returns the full symmetric sum, or [] when no server has rows."""
+    triangles = []
     for sid, rows in server_rows:
         if rows:
             g = gram(rows)
-            local = net.to_coordinator(sid, kind, [g[i][i:] for i in range(d)])
-            total = [[u + v for u, v in zip(tr, lr)] for tr, lr in zip(total, local)]
-            count += len(rows)
-    if not count:
-        return [], 0
+            triangles.append(net.to_coordinator(sid, kind, [g[i][i:] for i in range(d)]))
+    if not triangles:
+        return []
+    total = [[sum(entries) for entries in zip(*row)] for row in zip(*triangles)]
     if share:
         net.to_all_servers(kind, total)
-    return [[total[min(i, j)][abs(i - j)] for j in range(d)] for i in range(d)], count
+    return [[total[min(i, j)][abs(i - j)] for j in range(d)] for i in range(d)]
 
 
 def _halving_gram(server_views, d: int, net: Network, stream: Stream, cfg: Constants, depth: int = 0):
-    """(Gram every party holds, number of rows behind it).
+    """The Gram every party holds.
 
     Each level draws rows scored against the level below's Gram, with the
     unsampled-row correction, and shares their Gram; it keeps the level
@@ -210,7 +208,7 @@ def _halving_gram(server_views, d: int, net: Network, stream: Stream, cfg: Const
         mask[keep] = True
         sampled_masks.append(mask)
         child_views.append([view[i] for i in keep])
-    g_prime, rows_prime = _halving_gram(child_views, d, net, stream, cfg, depth + 1)
+    g_prime = _halving_gram(child_views, d, net, stream, cfg, depth + 1)
 
     plans = []
     log_d = max(1.0, math.log2(d + 1))
@@ -232,23 +230,17 @@ def _halving_gram(server_views, d: int, net: Network, stream: Stream, cfg: Const
         plans.append(SamplingPlan(vals, "l2", math.ceil(sum(vals))))
 
     draws = _distributed_draws(server_views, plans, net, stream, f"lev{depth}")
-    g_level, rows_level = _shared_gram(draws, d, net, f"lev{depth}-gram")
-    return (g_level, rows_level) if rows_level else (g_prime, rows_prime)
+    return _shared_gram(draws, d, net, f"lev{depth}-gram") or g_prime
 
 
 def leverage_protocol(server_views, d: int, net: Network, stream: Stream, cfg: Constants):
     """Approximate leverage scores by recursive halving.
 
-    Returns (number of rows behind the shared Gram, per-server score arrays).
-    The shared Gram approximates the stacked view's in the spectral sense;
-    each server scores its rows against it.
+    Returns per-server score arrays.  The shared Gram approximates the
+    stacked view's in the spectral sense; each server scores its rows against it.
     """
-    g, n_rows = _halving_gram(server_views, d, net, stream, cfg)
-    taus = [
-        leverage_scores_float(view, g) if view else np.zeros(0)
-        for view in server_views
-    ]
-    return n_rows, taus
+    g = _halving_gram(server_views, d, net, stream, cfg)
+    return [leverage_scores_float(view, g) if view else np.zeros(0) for view in server_views]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +274,7 @@ def lewis_protocol(server_views, d: int, L: int, net: Network, stream: Stream, c
             scaled_views.append(
                 [tuple(v * s for v in row) for row, s in zip(view, scales)]
             )
-        _, taus = leverage_protocol(scaled_views, d, net, stream.split("lewis", t), cfg)
+        taus = leverage_protocol(scaled_views, d, net, stream.split("lewis", t), cfg)
         for sid in range(len(server_views)):
             tau = np.where(np.isfinite(taus[sid]), taus[sid], 1.0)
             tau = np.clip(tau, 0.0, 1.0)
@@ -315,7 +307,7 @@ def leverage_protocol_entry(
     instance: Instance, net: Network, stream: Stream, cfg: Constants
 ) -> ProtocolOutcome:
     views = _views_from_instance(instance)
-    _, taus = leverage_protocol(views, instance.d, net, stream, cfg)
+    taus = leverage_protocol(views, instance.d, net, stream, cfg)
     flat = [float(t) for tau in taus for t in tau]
     return ProtocolOutcome(
         "OK",

@@ -201,6 +201,26 @@ def test_bench_bits_column_matches_transcript(tmp_path, capsys):
     assert int(row[4]) == transcript.total_bits
 
 
+@pytest.mark.parametrize("sweep, values", [("s", "2,0"), ("s", "2,-2"), ("L", "0"), ("d", "x")])
+def test_bench_rejects_bad_values_as_usage_errors(capsys, sweep, values):
+    code = main([
+        "bench", "--protocol", "linsys-det", "--sweep", sweep, "--values", values,
+        "--seeds", "1", "--kind", "linsys", "--n", "12", "--d", "3", "--L", "6",
+    ])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bench_maps_protocol_value_errors_to_usage(capsys):
+    # linsys-solve-rand runs in coordinator mode only: run_protocol raises ProtocolError.
+    code = main([
+        "bench", "--protocol", "linsys-solve-rand", "--sweep", "s", "--values", "2",
+        "--seeds", "1", "--mode", "blackboard", "--n", "12", "--d", "3", "--L", "6",
+    ])
+    assert code == 2
+    assert "does not support mode" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "protocol, kind, n, d, L",
     [("leverage", "regression", 12, 2, 4), ("lp-cog", "lp", 6, 1, 3)],

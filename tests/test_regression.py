@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commopt import regression
-from commopt.cli import _lp_norm_opt
 from commopt.commsim import COORDINATOR, MODES, Network, run_protocol, server
 from commopt.exactnum import dot, gram, solve_normal
 from commopt.instances import GenSpec, Instance, gen_random
 from commopt.lpsolve import SizeGuardError, lp_exact_oracle
+from commopt.oracles import _lp_norm_opt
 from commopt.regression import (
     _value_round,
     gradient_exchange,
